@@ -1,8 +1,7 @@
-"""Intersection kernel tiers — cutoff sweep and compiled-tier gate (ISSUE 10).
+"""Intersection kernel tiers — cutoff sweep and compiled-tier gate.
 
 Not a figure from the paper: this microbenchmark pins the kernel-tier layer
-added for beyond-RAM scale.  The row/batch intersection kernels now come in
-tiers sharing one contract (identical matches, identical aggregate
+added for beyond-RAM scale.  The row intersection kernels come in tiers sharing one contract (identical matches, identical aggregate
 comparison counts):
 
 * ``scalar``   — the reference per-segment Python loops, always available;
@@ -13,8 +12,8 @@ comparison counts):
 
 Two jobs here:
 
-1. **Cutoff sweep** — force the columnar kernels down their scalar and
-   vectorized routes across input sizes bracketing the cutoffs, time both,
+1. **Cutoff sweep** — force the columnar row kernels down their scalar
+   and vectorized routes across input sizes bracketing the cutoffs, time both,
    assert parity at every point, and record where the crossover actually
    sits so the cutoff constants can be audited against measurements.
 2. **Tier replay gate** — capture every row-kernel invocation of a real
@@ -46,7 +45,6 @@ from repro.core.engine.driver import (
 from repro.core.intersection import (
     ROW_KERNELS,
     available_kernel_tiers,
-    batch_kernel,
     resolve_kernel_tier,
     row_kernel,
 )
@@ -79,24 +77,6 @@ def best_seconds(fn, repeats=3, iterations=5):
 # ---------------------------------------------------------------------------
 
 
-def make_batch_input(rng, total_candidates, n_segments, adj_len, order_count=1 << 16):
-    """Sorted candidate segments + one shared sorted adjacency."""
-    bounds = np.sort(rng.integers(0, total_candidates + 1, size=n_segments - 1))
-    offsets = np.concatenate(([0], bounds, [total_candidates])).astype(np.int64)
-    segments = []
-    for seg in range(n_segments):
-        length = int(offsets[seg + 1] - offsets[seg])
-        keys = rng.choice(order_count, size=length, replace=False) if length else []
-        segments.append(np.sort(np.asarray(keys, dtype=np.int64)))
-    candidates = (
-        np.concatenate(segments) if segments else np.empty(0, dtype=np.int64)
-    ).astype(np.int64)
-    adjacency = np.sort(
-        rng.choice(order_count, size=adj_len, replace=False).astype(np.int64)
-    )
-    return candidates, offsets, adjacency
-
-
 def make_row_input(rng, n_segments, seg_len, n_rows, row_len, order_count=1 << 16):
     """Sorted candidate segments + a multi-row adjacency + a row per segment."""
     total = n_segments * seg_len
@@ -119,10 +99,6 @@ def make_row_input(rng, n_segments, seg_len, n_rows, row_len, order_count=1 << 1
     adjacency = intersection_mod.RowAdjacency(keys, indptr, order_count)
     seg_rows = rng.integers(0, n_rows, size=n_segments).astype(np.int64)
     return candidates, offsets, seg_rows, adjacency
-
-
-def canonical_batch(result):
-    return (sorted(tuple(m) for m in result.matches), int(result.comparisons))
 
 
 def canonical_rows(result):
@@ -157,45 +133,16 @@ def _with_cutoffs(batch_cutoff, segment_cutoff, fn):
 
 
 def test_cutoff_sweep(benchmark):
-    """Time both routes of the columnar kernels around the scalar cutoffs.
+    """Time both routes of the columnar row kernels around the scalar cutoffs.
 
-    ``_SCALAR_BATCH_CUTOFF`` (96 keys) and ``_SCALAR_ROW_SEGMENT_CUTOFF``
-    (4 segments) claim the scalar loops win below them.  This sweep forces
+    ``_SCALAR_BATCH_CUTOFF`` (96 candidate keys) and
+    ``_SCALAR_ROW_SEGMENT_CUTOFF`` (4 segments) claim the scalar loops win
+    below them.  This sweep forces
     each route at sizes bracketing the cutoffs, asserts the two routes agree
     bit-for-bit, and records the measured crossover next to the defaults.
     """
     rng = np.random.default_rng(10)
-    kernel_fn = intersection_mod.BATCH_KERNELS["merge_path"]
     row_fn = ROW_KERNELS["merge_path"]
-
-    batch_rows = []
-    # total keys (candidates + adjacency) sweeps through the 96-key cutoff.
-    for total_candidates, adj_len in [(8, 8), (24, 24), (48, 48), (96, 96), (192, 192), (512, 512)]:
-        cand, offs, adj = make_batch_input(rng, total_candidates, 4, adj_len)
-        scalar_result = _with_cutoffs(FORCE_SCALAR, FORCE_SCALAR, lambda: kernel_fn(cand, offs, adj))
-        vector_result = _with_cutoffs(-1, -1, lambda: kernel_fn(cand, offs, adj))
-        assert canonical_batch(scalar_result) == canonical_batch(vector_result), (
-            f"batch route mismatch at {total_candidates}+{adj_len} keys"
-        )
-        scalar_s = _with_cutoffs(
-            FORCE_SCALAR, FORCE_SCALAR, lambda: best_seconds(lambda: kernel_fn(cand, offs, adj))
-        )
-        vector_s = _with_cutoffs(
-            -1, -1, lambda: best_seconds(lambda: kernel_fn(cand, offs, adj))
-        )
-        batch_rows.append(
-            {
-                "shape": "batch",
-                "total_keys": total_candidates + adj_len,
-                "segments": 4,
-                "scalar_us": scalar_s * 1e6,
-                "vectorized_us": vector_s * 1e6,
-                "scalar_over_vectorized": scalar_s / vector_s,
-                "default_route": "scalar"
-                if total_candidates + adj_len <= intersection_mod._SCALAR_BATCH_CUTOFF
-                else "vectorized",
-            }
-        )
 
     row_rows = []
     # segment count sweeps through the 4-segment cutoff (short segments, so
@@ -237,7 +184,7 @@ def test_cutoff_sweep(benchmark):
         )
 
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-    rows = batch_rows + row_rows
+    rows = row_rows
     emit(
         format_table(
             [
@@ -262,8 +209,7 @@ def test_cutoff_sweep(benchmark):
     )
     benchmark.extra_info["points"] = len(rows)
     # The defaults must not be absurd: at the largest swept size the
-    # vectorized route has to win, at the smallest it must not lose badly.
-    assert batch_rows[-1]["scalar_over_vectorized"] > 1.0
+    # vectorized route has to win.
     assert row_rows[-1]["scalar_over_vectorized"] > 1.0
 
 

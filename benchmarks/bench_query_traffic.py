@@ -214,7 +214,7 @@ def test_fault_free_exact_parity_across_epochs():
         reducer = ANALYSES[analysis].reducer_factory(ref_world)
         execute_survey(
             SurveyRequest(dodgr=ref_dodgr, callback=reducer.callback),
-            engine=service.default_engine,
+            engine=service.engine_name,
         )
         if hasattr(reducer, "finalize"):
             reducer.finalize()

@@ -14,9 +14,9 @@ Expected shape (paper):
   node counts in the paper) and negligible-to-negative on Friendster-like
   social graphs, where the dry-run overhead can make Push-Pull slower.
 
-Run with ``--engine <name>`` — any engine registered in
-:mod:`repro.core.engine` (``legacy``, ``batched``, ``columnar``,
-``columnar-pull``, ...) — to regenerate the table on that survey engine; the
+Run with ``--engine <name>`` — ``legacy`` (the benchmark CLI's default) or
+``columnar``, the engines registered in :mod:`repro.core.engine` — to
+regenerate the table on that survey engine; the
 communicated-bytes columns (and every other result column) are identical
 across engines by the equivalence contract, so the engine choice only
 changes how long the regeneration takes.

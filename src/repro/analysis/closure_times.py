@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from ..core.callbacks import ClosureTimeSurvey
-from ..core.engine import EngineSelector, default_engine
+from ..core.engine import EngineSelector
 from ..core.incremental import StreamingSurvey
 from ..core.push_pull import triangle_survey_push_pull
 from ..core.results import SurveyReport
@@ -84,7 +84,7 @@ def run_closure_time_survey(
     algorithm: str = "push_pull",
     timestamp: Optional[Callable[[Any], float]] = None,
     graph_name: Optional[str] = None,
-    engine: EngineSelector = "columnar",
+    engine: EngineSelector = None,
 ) -> ClosureTimeResult:
     """Survey triangle closure times over a temporal graph.
 
@@ -98,14 +98,13 @@ def run_closure_time_survey(
     algorithm:
         ``"push"`` or ``"push_pull"``.
     engine:
-        Engine selector: any registered engine name (``"legacy"``,
-        ``"batched"``, ``"columnar"``, ``"columnar-pull"``) or an
-        :class:`~repro.core.engine.EngineConfig`; the columnar default
+        Engine selector: an engine name (``"columnar"``, the default, or
+        ``"legacy"``) or an :class:`~repro.core.engine.EngineConfig`; the
+        columnar default
         buckets closure times through
         :meth:`ClosureTimeSurvey.callback_batch`.
     """
     world = graph.world
-    engine = default_engine(engine, "columnar")
     if dodgr is None:
         dodgr = DODGraph.build(graph, mode="bulk")
     survey = ClosureTimeSurvey(world, timestamp=timestamp or edge_timestamp)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, Hashable, Optional, Tuple
 
 from ..core.callbacks import EdgeSupportCounter, LocalTriangleCounter
-from ..core.engine import EngineSelector, default_engine
+from ..core.engine import EngineSelector
 from ..core.push_pull import triangle_survey_push_pull
 from ..core.results import SurveyReport
 from ..core.survey import triangle_survey_push
@@ -65,9 +65,8 @@ def _run(
     callback,
     algorithm: str,
     graph_name: Optional[str],
-    engine: EngineSelector = "columnar",
+    engine: EngineSelector = None,
 ) -> SurveyReport:
-    engine = default_engine(engine, "columnar")
     if algorithm == "push":
         return triangle_survey_push(dodgr, callback, graph_name=graph_name, engine=engine)
     if algorithm == "push_pull":
@@ -82,7 +81,7 @@ def run_clustering_coefficients(
     dodgr: Optional[DODGraph] = None,
     algorithm: str = "push_pull",
     graph_name: Optional[str] = None,
-    engine: EngineSelector = "columnar",
+    engine: EngineSelector = None,
 ) -> ClusteringResult:
     """Compute per-vertex clustering coefficients with a local-count survey.
 
@@ -114,7 +113,7 @@ def run_truss_support(
     dodgr: Optional[DODGraph] = None,
     algorithm: str = "push_pull",
     graph_name: Optional[str] = None,
-    engine: EngineSelector = "columnar",
+    engine: EngineSelector = None,
 ) -> TrussResult:
     """Compute per-edge triangle support (truss decomposition input)."""
     world = graph.world

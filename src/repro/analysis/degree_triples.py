@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Dict, Hashable, Optional, Tuple
 
 from ..core.callbacks import DegreeTripleSurvey
-from ..core.engine import EngineSelector, default_engine
+from ..core.engine import EngineSelector
 from ..core.push_pull import triangle_survey_push_pull
 from ..core.results import SurveyReport
 from ..core.survey import triangle_survey_push
@@ -64,7 +64,7 @@ def run_degree_triple_survey(
     algorithm: str = "push_pull",
     graph_name: Optional[str] = None,
     already_decorated: bool = False,
-    engine: EngineSelector = "columnar",
+    engine: EngineSelector = None,
 ) -> DegreeTripleResult:
     """Decorate with degrees (unless told otherwise) and run the triple survey.
 
@@ -72,7 +72,6 @@ def run_degree_triple_survey(
     :class:`~repro.core.engine.EngineConfig`.
     """
     world = graph.world
-    engine = default_engine(engine, "columnar")
     decorated = graph if already_decorated else decorate_with_degrees(graph)
     if dodgr is None:
         dodgr = DODGraph.build(decorated, mode="bulk")

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from ..core.callbacks import FqdnTripleSurvey
-from ..core.engine import EngineSelector, default_engine
+from ..core.engine import EngineSelector
 from ..core.incremental import StreamingSurvey
 from ..core.push_pull import triangle_survey_push_pull
 from ..core.results import SurveyReport
@@ -96,7 +96,7 @@ def run_fqdn_survey(
     dodgr: Optional[DODGraph] = None,
     algorithm: str = "push_pull",
     graph_name: Optional[str] = None,
-    engine: EngineSelector = "columnar",
+    engine: EngineSelector = None,
 ) -> FqdnSurveyResult:
     """Run the distributed FQDN 3-tuple survey.
 
@@ -105,7 +105,6 @@ def run_fqdn_survey(
     :class:`~repro.core.engine.EngineConfig`.
     """
     world = graph.world
-    engine = default_engine(engine, "columnar")
     if dodgr is None:
         dodgr = DODGraph.build(graph, mode="bulk")
     survey = FqdnTripleSurvey(world)

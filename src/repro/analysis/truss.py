@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, Hashable, List, Optional, Set, Tuple
 
 from ..core.callbacks import EdgeSupportCounter
-from ..core.engine import EngineSelector, default_engine
+from ..core.engine import EngineSelector
 from ..core.push_pull import triangle_survey_push_pull
 from ..core.results import SurveyReport
 from ..core.survey import triangle_survey_push
@@ -70,7 +70,7 @@ def truss_decomposition(
     dodgr: Optional[DODGraph] = None,
     algorithm: str = "push_pull",
     graph_name: Optional[str] = None,
-    engine: EngineSelector = "columnar",
+    engine: EngineSelector = None,
 ) -> TrussDecomposition:
     """Compute the trussness of every edge of ``graph``.
 
@@ -89,7 +89,6 @@ def truss_decomposition(
     former hot spot of the decomposition.
     """
     world = graph.world
-    engine = default_engine(engine, "columnar")
     if dodgr is None:
         dodgr = DODGraph.build(graph, mode="bulk")
 

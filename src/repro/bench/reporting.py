@@ -34,10 +34,9 @@ def percentiles(
     """Linear-interpolation percentiles of ``values`` keyed ``"p50"``-style.
 
     The estimator is the standard ``rank = (n - 1) * p / 100`` linear
-    interpolation (NumPy's default), in pure Python so every benchmark can
-    use it whether or not NumPy is installed.  Empty input yields ``None``
-    for every requested percentile; a singleton yields that value.  Keys
-    drop a trailing ``.0`` (``p99.9`` stays ``"p99.9"``).
+    interpolation (NumPy's default), in pure Python.  Empty input yields
+    ``None`` for every requested percentile; a singleton yields that
+    value.  Keys drop a trailing ``.0`` (``p99.9`` stays ``"p99.9"``).
     """
     data = sorted(float(v) for v in values)
     out: Dict[str, Optional[float]] = {}

@@ -12,10 +12,11 @@ The primary entry points are:
   paper's surveys (counting, closure times, FQDN tuples, degree triples...).
 
 Survey execution is owned by the engine layer in :mod:`repro.core.engine`:
-engines are registered :class:`~repro.core.engine.EngineSpec` compositions
-resolved by name (``engine="legacy"/"batched"/"columnar"/"columnar-pull"``)
-or through an :class:`~repro.core.engine.EngineConfig`, the one selector
-threaded through ``analysis/*``, ``bench/*`` and the benchmark CLIs.
+the two engines are :class:`~repro.core.engine.EngineSpec` entries resolved
+by name (``engine="columnar"``, the default, or ``engine="legacy"``, the
+scalar oracle) or through an :class:`~repro.core.engine.EngineConfig`, the
+one selector threaded through ``analysis/*``, ``bench/*`` and the benchmark
+CLIs.
 """
 
 from .approximate import (
@@ -48,19 +49,16 @@ from .engine import (
     SurveyResult,
     engine_names,
     execute_survey,
-    register_engine,
     registered_engines,
     resolve_engine,
 )
 from .incremental import (
     DELTA_PUSH_PHASE,
-    INCREMENTAL_ENGINES,
     StreamingStep,
     StreamingSurvey,
     incremental_triangle_survey,
 )
 from .intersection import (
-    BATCH_KERNELS,
     INTERSECTION_KERNELS,
     ROW_KERNELS,
     IntersectionResult,
@@ -91,7 +89,6 @@ __all__ = [
     "incremental_triangle_survey",
     "StreamingSurvey",
     "StreamingStep",
-    "INCREMENTAL_ENGINES",
     "DELTA_PUSH_PHASE",
     "merge_count_dicts",
     "approximate_triangle_count",
@@ -119,14 +116,12 @@ __all__ = [
     "hash_intersection",
     "IntersectionResult",
     "INTERSECTION_KERNELS",
-    "BATCH_KERNELS",
     "ROW_KERNELS",
     "SURVEY_ENGINES",
     "EngineSpec",
     "EngineConfig",
     "SurveyRequest",
     "SurveyResult",
-    "register_engine",
     "resolve_engine",
     "registered_engines",
     "engine_names",

@@ -4,10 +4,9 @@ The paper's survey abstraction is *one* algorithm with interchangeable
 communication strategies (push vs. pull, Table 4).  This package owns
 survey execution end to end:
 
-* :mod:`~repro.core.engine.registry` — the :class:`EngineSpec` table:
-  engines are declared as data (:func:`register_engine`) composing the
-  shared strategy implementations, and resolved with
-  :func:`resolve_engine`;
+* :mod:`~repro.core.engine.registry` — the :class:`EngineSpec` table of
+  the two engines (``columnar``, the default, and ``legacy``, the scalar
+  oracle), resolved with :func:`resolve_engine`;
 * :mod:`~repro.core.engine.request` — the :class:`SurveyRequest` /
   :class:`SurveyResult` pair and the caller-facing :class:`EngineConfig`
   selector threaded through ``analysis/*``, ``bench/*`` and the CLIs;
@@ -27,21 +26,16 @@ survey execution end to end:
 Adding an engine
 ----------------
 
-Register a new composition — no new driver loop::
-
-    from repro.core.engine import EngineSpec, register_engine
-
-    register_engine(EngineSpec(
-        name="my-engine",
-        description="batched pushes, columnar pull",
-        push_style="batched", pull_style="columnar",
-        proposal_style="batched", requires_numpy=True, fallback="batched",
-    ))
-
-The ``columnar-pull`` engine shipped here is exactly such a registration;
-``tools/check_engines.py`` smoke-checks that every registered engine stays
-on the equivalence contract (identical reducer panels, byte-identical wire
-totals), and the cross-engine property suite
+There are two engines, and the runners branch on
+:attr:`EngineSpec.columnar` at each phase.  A new engine is therefore a
+new driver per phase (push handler and drive in
+:mod:`~repro.core.engine.driver`, pull handler and drive in
+:mod:`~repro.core.engine.pull`, delta handlers in
+:mod:`~repro.core.engine.delta`) plus an entry in the registry table.  It
+must stay on the equivalence contract against ``legacy``: identical
+reducer panels and byte-identical wire totals.
+``tools/check_engines.py`` smoke-checks that for every registered engine,
+and the cross-engine property suite
 (``tests/properties/test_property_engines.py``) pins it on random graphs.
 """
 
@@ -52,12 +46,9 @@ from .registry import (
     EngineSpec,
     backend_names,
     engine_names,
-    incremental_engine_names,
-    register_engine,
     registered_engines,
     resolve_backend,
     resolve_engine,
-    resolve_incremental_engine,
     validate_request,
 )
 from .request import (
@@ -71,7 +62,6 @@ from .request import (
     SurveyRequest,
     SurveyResult,
     TriangleCallback,
-    default_engine,
     split_backend_selector,
     split_engine_selector,
     split_execution_selector,
@@ -90,19 +80,15 @@ __all__ = [
     "SurveyProgram",
     "TriangleCallback",
     "BACKENDS",
-    "register_engine",
     "resolve_engine",
-    "resolve_incremental_engine",
     "resolve_backend",
     "registered_engines",
     "engine_names",
-    "incremental_engine_names",
     "backend_names",
     "split_engine_selector",
     "split_backend_selector",
     "split_execution_selector",
     "validate_request",
-    "default_engine",
     "resolve_batch_callback",
     "execute_program",
     "build_push_program",
@@ -123,7 +109,7 @@ def execute_survey(request: SurveyRequest, engine=None) -> SurveyResult:
 
     The request's ``algorithm`` picks the runner (``"push"`` or
     ``"push_pull"``); ``engine`` may be anything
-    :func:`resolve_engine` accepts and defaults to the legacy engine.
+    :func:`resolve_engine` accepts and defaults to the columnar engine.
     """
     spec = resolve_engine(engine)
     if request.algorithm == "push":

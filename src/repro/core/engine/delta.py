@@ -3,8 +3,8 @@
 :func:`repro.core.incremental.incremental_triangle_survey` surveys exactly
 the triangles containing at least one edge of an applied batch
 (:class:`~repro.graph.delta.AppliedDelta`), via the wedge decomposition
-documented in :mod:`repro.core.incremental`.  This module holds the two
-engine implementations the registry's ``incremental_style`` field selects:
+documented in :mod:`repro.core.incremental`.  This module holds the delta
+form of each engine:
 
 * ``legacy`` — the scalar reference: one sized RPC per (wedge, stream)
   carrying the filtered candidate tuples, intersected per message with the
@@ -25,6 +25,8 @@ from __future__ import annotations
 import weakref
 from typing import Any, Dict, List, Optional, Tuple
 
+import numpy as np
+
 from ...graph.delta import AppliedDelta
 from ...graph.dodgr import DODGraph, entry_key
 from ...graph.metadata import TriangleMetadata
@@ -38,11 +40,6 @@ from .driver import (
 )
 from .request import TriangleCallback
 from .segments import ragged_gather
-
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via the legacy fallback
-    _np = None
 
 __all__ = [
     "new_source_vertices",
@@ -93,13 +90,13 @@ def _delta_row_adjacency(delta: AppliedDelta, rank: int) -> Tuple[RowAdjacency, 
         csr = dodgr.csr(rank)
         cols = csr.columns()
         mask = delta.edge_mask(rank)
-        new_to_orig = _np.flatnonzero(mask)
+        new_to_orig = np.flatnonzero(mask)
         lengths = cols.indptr[1:] - cols.indptr[:-1]
-        edge_rows = _np.repeat(_np.arange(csr.num_rows, dtype=_np.int64), lengths)
-        new_counts = _np.bincount(edge_rows[mask], minlength=csr.num_rows)
-        new_indptr = _np.concatenate(
-            ([0], _np.cumsum(new_counts))
-        ).astype(_np.int64)
+        edge_rows = np.repeat(np.arange(csr.num_rows, dtype=np.int64), lengths)
+        new_counts = np.bincount(edge_rows[mask], minlength=csr.num_rows)
+        new_indptr = np.concatenate(
+            ([0], np.cumsum(new_counts))
+        ).astype(np.int64)
         adjacency = RowAdjacency(
             csr.tgt_ids[new_to_orig], new_indptr, dodgr.order_count()
         )
@@ -169,7 +166,7 @@ def make_delta_columnar_handler(
         ctx.add_compute(per_triangle_compute * matches)
         if new_only:
             result = _DeltaStreamResult(
-                result, new_to_orig[_np.asarray(result.adj_pos, dtype=_np.int64)]
+                result, new_to_orig[np.asarray(result.adj_pos, dtype=np.int64)]
             )
         batch = columnar_push_batch(
             src_csr, dest_csr, rows, qpositions, q_rows, flat_src_pos, result
@@ -187,10 +184,10 @@ def _sort_wedge_groups(qpos, cand):
     positions concatenated per wedge (ascending within a wedge) — the
     legacy per-wedge message layout.
     """
-    order = _np.lexsort((cand, qpos))
+    order = np.lexsort((cand, qpos))
     qpos_sorted = qpos[order]
     cand_sorted = cand[order]
-    wedge_qpos, counts = _np.unique(qpos_sorted, return_counts=True)
+    wedge_qpos, counts = np.unique(qpos_sorted, return_counts=True)
     return wedge_qpos, counts, cand_sorted
 
 
@@ -206,8 +203,8 @@ def _delta_inverted_index(csr):
     if cached is None:
         cols = csr.columns()
         lengths = cols.indptr[1:] - cols.indptr[:-1]
-        row_of_edge = _np.repeat(_np.arange(csr.num_rows, dtype=_np.int64), lengths)
-        inv_order = _np.argsort(csr.tgt_ids, kind="stable")
+        row_of_edge = np.repeat(np.arange(csr.num_rows, dtype=np.int64), lengths)
+        inv_order = np.argsort(csr.tgt_ids, kind="stable")
         cached = (csr.tgt_ids[inv_order], inv_order, row_of_edge)
         csr._delta_inv_index = cached
     return cached
@@ -220,11 +217,11 @@ def _positions_of_ids(inv_ids, inv_pos, ids):
     id's edge positions and ``owner[i]`` is the index into ``ids`` that
     produced ``positions[i]``.
     """
-    lo = _np.searchsorted(inv_ids, ids, side="left")
-    hi = _np.searchsorted(inv_ids, ids, side="right")
+    lo = np.searchsorted(inv_ids, ids, side="left")
+    hi = np.searchsorted(inv_ids, ids, side="right")
     counts = hi - lo
     gather, _offsets = ragged_gather(lo, counts)
-    owner = _np.repeat(_np.arange(ids.size, dtype=_np.int64), counts)
+    owner = np.repeat(np.arange(ids.size, dtype=np.int64), counts)
     return owner, inv_pos[gather]
 
 
@@ -262,7 +259,7 @@ def drive_columnar_delta(
     cols = csr.columns()
     indptr = cols.indptr
     mask = delta.edge_mask(ctx.rank)
-    new_pos = _np.flatnonzero(mask)
+    new_pos = np.flatnonzero(mask)
     inv_ids, inv_pos, row_of_edge = _delta_inverted_index(csr)
 
     # --- Full-check stream, part 1: q-new wedges carry their whole suffix.
@@ -272,44 +269,44 @@ def drive_columnar_delta(
     qpos_a1 = new_pos[keep]
     len_a1 = suffix_len[keep]
     cand_a1, _off = ragged_gather(qpos_a1 + 1, len_a1)
-    wedge_a1 = _np.repeat(qpos_a1, len_a1)
+    wedge_a1 = np.repeat(qpos_a1, len_a1)
 
     # --- Full-check stream, part 2: each new position is a candidate of
     # every earlier old-q wedge in its row.
     lo_j = indptr[rows_a]
     before = new_pos - lo_j
     wedge_a2, _off = ragged_gather(lo_j, before)
-    cand_a2 = _np.repeat(new_pos, before)
+    cand_a2 = np.repeat(new_pos, before)
     old_q = ~mask[wedge_a2]
     wedge_a2 = wedge_a2[old_q]
     cand_a2 = cand_a2[old_q]
 
     full_qpos, full_counts, full_cand = _sort_wedge_groups(
-        _np.concatenate((wedge_a1, wedge_a2)), _np.concatenate((cand_a1, cand_a2))
+        np.concatenate((wedge_a1, wedge_a2)), np.concatenate((cand_a1, cand_a2))
     )
 
     # --- New-check stream: old-old wedges closed by a new (q, r) pair,
     # found by joining both endpoints against the inverted target index.
-    stride = _np.int64(dodgr.order_count())
+    stride = np.int64(dodgr.order_count())
     new_keys = delta.directed_edge_keys()
     pair_q, pos_q = _positions_of_ids(inv_ids, inv_pos, new_keys // stride)
     pair_r, pos_r = _positions_of_ids(inv_ids, inv_pos, new_keys % stride)
     # Join on (pair, pivot row): a row holds a target at most once, so the
     # composite keys are unique per side.
-    comp_q = pair_q * _np.int64(csr.num_rows) + row_of_edge[pos_q]
-    comp_r = pair_r * _np.int64(csr.num_rows) + row_of_edge[pos_r]
-    oq = _np.argsort(comp_q)
+    comp_q = pair_q * np.int64(csr.num_rows) + row_of_edge[pos_q]
+    comp_r = pair_r * np.int64(csr.num_rows) + row_of_edge[pos_r]
+    oq = np.argsort(comp_q)
     comp_q, pos_q = comp_q[oq], pos_q[oq]
-    orr = _np.argsort(comp_r)
+    orr = np.argsort(comp_r)
     comp_r, pos_r = comp_r[orr], pos_r[orr]
-    at = _np.searchsorted(comp_q, comp_r)
-    clipped = _np.minimum(at, max(comp_q.size - 1, 0))
+    at = np.searchsorted(comp_q, comp_r)
+    clipped = np.minimum(at, max(comp_q.size - 1, 0))
     hit = (
         (at < comp_q.size) & (comp_q[clipped] == comp_r)
         if comp_q.size
-        else _np.zeros(comp_r.size, dtype=bool)
+        else np.zeros(comp_r.size, dtype=bool)
     )
-    wedge_b = pos_q[clipped[hit]] if comp_q.size else _np.empty(0, dtype=_np.int64)
+    wedge_b = pos_q[clipped[hit]] if comp_q.size else np.empty(0, dtype=np.int64)
     cand_b = pos_r[hit]
     both_old = ~mask[wedge_b] & ~mask[cand_b]
     new_qpos, new_counts, new_cand = _sort_wedge_groups(
@@ -325,8 +322,8 @@ def drive_columnar_delta(
             streams.append(None)
             continue
         cand_bytes = cols.cand_cumsum[cand + 1] - cols.cand_cumsum[cand]
-        byte_cumsum = _np.concatenate(([0], _np.cumsum(cand_bytes)))
-        offsets = _np.concatenate(([0], _np.cumsum(counts)))
+        byte_cumsum = np.concatenate(([0], np.cumsum(cand_bytes)))
+        offsets = np.concatenate(([0], np.cumsum(counts)))
         sizes = (
             overhead
             + cols.row_wire[row_of_edge[qpos]]
@@ -353,22 +350,22 @@ def drive_columnar_delta(
     # Account every replaced legacy message in legacy send order: ascending
     # wedge position (row-major), the full-check message before the
     # new-check message of the same wedge.
-    acc_qpos = _np.concatenate([s["qpos"] for s in live])
-    acc_kind = _np.concatenate(
-        [_np.full(s["qpos"].size, i, dtype=_np.int64) for i, s in enumerate(streams) if s]
+    acc_qpos = np.concatenate([s["qpos"] for s in live])
+    acc_kind = np.concatenate(
+        [np.full(s["qpos"].size, i, dtype=np.int64) for i, s in enumerate(streams) if s]
     )
-    order = _np.lexsort((acc_kind, acc_qpos))
-    acc_dests = _np.concatenate([s["dests"] for s in live])[order]
-    acc_sizes = _np.concatenate([s["sizes"] for s in live])[order]
+    order = np.lexsort((acc_kind, acc_qpos))
+    acc_dests = np.concatenate([s["dests"] for s in live])[order]
+    acc_sizes = np.concatenate([s["sizes"] for s in live])[order]
     ctx.account_rpc_bulk(acc_dests, acc_sizes)
 
     for stream, handler in zip(streams, (h_full, h_new)):
         if stream is None:
             continue
         dests = stream["dests"]
-        dest_order = _np.argsort(dests, kind="stable")
+        dest_order = np.argsort(dests, kind="stable")
         dests_sorted = dests[dest_order]
-        unique_dests, group_starts = _np.unique(dests_sorted, return_index=True)
+        unique_dests, group_starts = np.unique(dests_sorted, return_index=True)
         bounds = group_starts.tolist() + [dests_sorted.size]
         # Regroup the candidate sub-stream by destination rank.
         gather, new_offsets = ragged_gather(

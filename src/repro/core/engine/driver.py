@@ -1,50 +1,40 @@
 """Shared driver core: the push-side machinery every engine composes.
 
-One survey algorithm, interchangeable communication strategies — this
-module holds the strategy implementations the :class:`~repro.core.engine.registry.EngineSpec`
-table composes:
+One survey algorithm, two communication strategies — this module holds the
+push-side implementations of both engines:
 
 * **handler factories** build the owner-side RPC handler that intersects a
   candidate stream against ``Adj^m_+(q)`` and delivers the closing
   triangles to the user callback (scalar) or its ``callback_batch``
   counterpart (columnar :class:`~repro.graph.metadata.TriangleBatch`);
 * **drivers** walk one rank's pivots and generate its candidate stream at
-  the engine's granularity — one RPC per wedge (legacy), per (destination
-  rank, target vertex) group (batched), or per (source rank, destination
-  rank) pair (columnar) — while accounting every *replaced* legacy message
-  at its exact serialized size (``account_rpc``/``account_rpc_bulk``
-  against the real buffer bank), which is what keeps Table 4 byte-identical
-  across engines.
+  the engine's granularity — one RPC per wedge (legacy) or per (source
+  rank, destination rank) pair (columnar) — while accounting every
+  *replaced* legacy message at its exact serialized size
+  (``account_rpc``/``account_rpc_bulk`` against the real buffer bank),
+  which is what keeps Table 4 byte-identical across engines.
 
-The style-keyed facades :func:`make_push_intersect_handler` and
-:func:`drive_push` are what the engine runners call; everything else is the
-composition material.  Before the engine layer existed this code lived in
-``core/survey.py`` with near-copies of the legacy handler and driver in
-``core/push_pull.py`` — those copies are gone.
+The facades :func:`make_push_intersect_handler` and :func:`drive_push` are
+what the engine runners call; they pick the engine's implementation.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, List, Optional
+
+import numpy as np
 
 from ...graph.degree import order_key
 from ...graph.dodgr import CSRAdjacency, DODGraph, entry_key
 from ...graph.ooc import stage_send_columns
 from ...graph.metadata import TriangleBatch, TriangleMetadata
-from ...runtime.serialization import serialized_size, uvarint_size, uvarint_size_array
+from ...runtime.serialization import serialized_size, uvarint_size_array
 from ..intersection import (
     INTERSECTION_KERNELS,
     RowAdjacency,
-    batch_kernel as select_batch_kernel,
     row_kernel as select_row_kernel,
 )
 from .request import TriangleCallback
-from .segments import concat_segments
-
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via the list fallback
-    _np = None
 
 __all__ = [
     "candidate_key",
@@ -54,18 +44,12 @@ __all__ = [
     "deliver_batch",
     "columnar_push_batch",
     "make_legacy_intersect_handler",
-    "make_batched_intersect_handler",
     "make_columnar_intersect_handler",
     "make_push_intersect_handler",
     "drive_legacy_push",
-    "drive_batched_push",
     "drive_columnar_push",
     "drive_push",
-    "PUSH_STYLES",
 ]
-
-#: The push-side strategies the engine registry can compose.
-PUSH_STYLES = ("legacy", "batched", "columnar")
 
 
 def candidate_key(candidate: tuple) -> tuple:
@@ -111,8 +95,7 @@ def row_adjacency(csr: CSRAdjacency, order_count: int) -> RowAdjacency:
     """The CSR's cached :class:`RowAdjacency` view for the row kernels."""
     cached = csr.row_adj_cache
     if cached is None:
-        indptr = csr.columns().indptr if _np is not None else csr.indptr
-        cached = RowAdjacency(csr.tgt_ids, indptr, order_count)
+        cached = RowAdjacency(csr.tgt_ids, csr.columns().indptr, order_count)
         csr.row_adj_cache = cached
     return cached
 
@@ -142,9 +125,7 @@ def make_legacy_intersect_handler(
     """Build the owner-side handler of one per-wedge candidate push.
 
     Executed on Rank(q): intersect the pushed candidates with ``Adj^m_+(q)``
-    and run the callback for every match.  Before the engine layer this
-    closure was written out twice — once in the Push-Only driver, once in
-    the Push-Pull push phase.
+    and run the callback for every match.
     """
 
     def _intersect_handler(
@@ -211,136 +192,6 @@ def drive_legacy_push(ctx, dodgr: DODGraph, handler, allowed=None) -> None:
             # Sized delivery: exact legacy wire accounting, no codec run
             # for what is (in-process) an accounting-only payload.
             ctx.async_call_sized(dodgr.owner(q), handler, q, p, meta_p, meta_pq, candidates)
-
-
-# ---------------------------------------------------------------------------
-# Batched engine internals
-# ---------------------------------------------------------------------------
-
-
-def make_batched_intersect_handler(
-    dodgr: DODGraph,
-    batch_kernel,
-    callback: Optional["TriangleCallback"],
-    per_triangle_compute: int,
-):
-    """Build the owner-side handler of one batched candidate push.
-
-    The handler receives every wedge a source rank generated for one target
-    vertex ``q``: ``rows``/``qpositions`` locate the pivots and their ``q``
-    entries inside the *source* rank's :class:`CSRAdjacency`, and each
-    pivot's candidate suffix is the edge range after ``qpositions[w]``.  All
-    suffixes are intersected against ``Adj^m_+(q)`` in one batch-kernel
-    call; matches close triangles exactly as in the legacy handler.
-    """
-
-    def _batched_intersect_handler(
-        ctx,
-        q: Any,
-        src_csr: CSRAdjacency,
-        rows: List[int],
-        qpositions: List[int],
-    ) -> None:
-        starts = [pos + 1 for pos in qpositions]
-        ends = [src_csr.indptr[row + 1] for row in rows]
-        ctx.add_counter(
-            "wedge_checks", sum(end - start for start, end in zip(starts, ends))
-        )
-        dest_csr = dodgr.csr(ctx)
-        q_row = dest_csr.row_of(q)
-        if q_row is None:
-            return
-        adj_lo, adj_hi = dest_csr.row_slice(q_row)
-        candidate_ids, offsets = concat_segments(src_csr.tgt_ids, starts, ends)
-        result = batch_kernel(candidate_ids, offsets, dest_csr.tgt_ids[adj_lo:adj_hi])
-        ctx.add_compute(result.comparisons)
-        if not result.matches:
-            return
-        # Counter totals are phase-aggregate, so one bulk update per batch
-        # replaces two Python calls per triangle.
-        ctx.add_counter("triangles_found", len(result.matches))
-        if callback is None:
-            return
-        ctx.add_compute(per_triangle_compute * len(result.matches))
-        meta_q = dest_csr.row_meta[q_row]
-        for wedge, cand_idx, adj_idx in result.matches:
-            r, _d_r, meta_pr, _ = src_csr.entries[starts[wedge] + cand_idx]
-            _, _, meta_qr, meta_r = dest_csr.entries[adj_lo + adj_idx]
-            row = rows[wedge]
-            callback(
-                ctx,
-                TriangleMetadata(
-                    p=src_csr.row_vertices[row],
-                    q=q,
-                    r=r,
-                    meta_p=src_csr.row_meta[row],
-                    meta_q=meta_q,
-                    meta_r=meta_r,
-                    meta_pq=src_csr.entries[qpositions[wedge]][2],
-                    meta_pr=meta_pr,
-                    meta_qr=meta_qr,
-                ),
-            )
-
-    return _batched_intersect_handler
-
-
-def drive_batched_push(
-    ctx,
-    csr: CSRAdjacency,
-    handler,
-    payload_overhead: int,
-    allowed=None,
-) -> None:
-    """Walk one rank's pivots, accounting and coalescing its candidate pushes.
-
-    Every wedge is accounted (in legacy iteration order, so buffer flush
-    boundaries replay exactly) via ``ctx.account_rpc`` with the precise
-    serialized size of the per-wedge message it replaces, then appended to
-    its ``(destination rank, q)`` group; one batched RPC per group follows.
-    ``allowed`` restricts targets (the Push-Pull push phase skips targets
-    that will be pulled); ``None`` pushes to every target.
-    """
-    groups: Dict[Tuple[int, Any], Tuple[List[int], List[int], List[int]]] = {}
-    indptr = csr.indptr
-    entries = csr.entries
-    owners = csr.tgt_owner
-    tgt_sizes = csr.tgt_wire_sizes
-    row_sizes = csr.row_wire_sizes
-    for row in range(csr.num_rows):
-        lo, hi = indptr[row], indptr[row + 1]
-        if hi - lo < 2:
-            continue
-        row_overhead = payload_overhead + row_sizes[row]
-        for pos in range(lo, hi - 1):
-            q = entries[pos][0]
-            if allowed is not None and q not in allowed:
-                continue
-            dest = owners[pos]
-            size = (
-                row_overhead
-                + tgt_sizes[pos]
-                + uvarint_size(hi - 1 - pos)
-                + csr.suffix_wire_bytes(pos, hi)
-            )
-            ctx.account_rpc(dest, size)
-            group = groups.get((dest, q))
-            if group is None:
-                groups[(dest, q)] = group = ([], [], [0])
-            group[0].append(row)
-            group[1].append(pos)
-            group[2][0] += size
-    for (dest, q), (rows, qpositions, (group_bytes,)) in groups.items():
-        ctx.async_call_batched(
-            dest,
-            handler,
-            q,
-            csr,
-            rows,
-            qpositions,
-            virtual_rpcs=len(rows),
-            virtual_bytes=group_bytes,
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -427,8 +278,8 @@ def make_columnar_intersect_handler(
         ctx.add_counter("wedge_checks", total)
         dest_csr = dodgr.csr(ctx)
         q_rows = dodgr.rows_by_order_id()[src_csr.tgt_ids[qpositions]]
-        offsets = _np.concatenate(([0], _np.cumsum(seg_lengths)))
-        flat_src_pos = _np.arange(total, dtype=_np.int64) + _np.repeat(
+        offsets = np.concatenate(([0], np.cumsum(seg_lengths)))
+        flat_src_pos = np.arange(total, dtype=np.int64) + np.repeat(
             starts - offsets[:-1], seg_lengths
         )
         candidate_ids = src_csr.tgt_ids[flat_src_pos]
@@ -472,18 +323,18 @@ def drive_columnar_push(
     cols = csr.columns()
     indptr = cols.indptr
     out_degree = indptr[1:] - indptr[:-1]
-    wedge_counts = _np.where(out_degree >= 2, out_degree - 1, 0)
+    wedge_counts = np.where(out_degree >= 2, out_degree - 1, 0)
     total = int(wedge_counts.sum())
     if total == 0:
         return
-    rows = _np.repeat(_np.arange(csr.num_rows, dtype=_np.int64), wedge_counts)
+    rows = np.repeat(np.arange(csr.num_rows, dtype=np.int64), wedge_counts)
     qpositions = (
-        _np.arange(total, dtype=_np.int64)
-        - _np.repeat(_np.cumsum(wedge_counts) - wedge_counts, wedge_counts)
-        + _np.repeat(indptr[:-1], wedge_counts)
+        np.arange(total, dtype=np.int64)
+        - np.repeat(np.cumsum(wedge_counts) - wedge_counts, wedge_counts)
+        + np.repeat(indptr[:-1], wedge_counts)
     )
     if allowed_ids is not None:
-        mask = _np.isin(csr.tgt_ids[qpositions], allowed_ids)
+        mask = np.isin(csr.tgt_ids[qpositions], allowed_ids)
         rows = rows[mask]
         qpositions = qpositions[mask]
         if rows.size == 0:
@@ -499,9 +350,9 @@ def drive_columnar_push(
         - cols.cand_cumsum[qpositions + 1]
     )
     ctx.account_rpc_bulk(dests, sizes)
-    order = _np.argsort(dests, kind="stable")
+    order = np.argsort(dests, kind="stable")
     dests_sorted = dests[order]
-    unique_dests, group_starts = _np.unique(dests_sorted, return_index=True)
+    unique_dests, group_starts = np.unique(dests_sorted, return_index=True)
     bounds = group_starts.tolist() + [dests_sorted.size]
     rows_sorted = rows[order]
     qpos_sorted = qpositions[order]
@@ -517,7 +368,7 @@ def drive_columnar_push(
     chunk = dodgr.chunk_candidates()
     cand_cumsum = None
     if chunk is not None:
-        cand_cumsum = _np.cumsum((row_end - 1 - qpositions)[order])
+        cand_cumsum = np.cumsum((row_end - 1 - qpositions)[order])
         # The payload slices below stay enqueued until the barrier delivers
         # them; staging the sorted columns in the snapshot's disk-backed
         # scratch keeps that retained set out of process memory (the
@@ -531,7 +382,7 @@ def drive_columnar_push(
                 stop = hi
             else:
                 base = int(cand_cumsum[start - 1]) if start else 0
-                stop = int(_np.searchsorted(cand_cumsum, base + chunk, side="right"))
+                stop = int(np.searchsorted(cand_cumsum, base + chunk, side="right"))
                 stop = max(stop, start + 1)  # an oversize wedge still ships
                 stop = min(stop, hi)
             ctx.async_call_batched(
@@ -547,31 +398,27 @@ def drive_columnar_push(
 
 
 # ---------------------------------------------------------------------------
-# Style-keyed facades: what the engine runners actually call
+# Facades: what the engine runners actually call
 # ---------------------------------------------------------------------------
 
 
 def make_push_intersect_handler(
-    style: str,
+    columnar: bool,
     dodgr: DODGraph,
     kernel: str,
     callback: Optional["TriangleCallback"],
     per_triangle_compute: int,
     kernel_tier: Optional[str] = None,
 ):
-    """Build the push-phase intersect handler for an engine's ``push_style``.
+    """Build the push-phase intersect handler of the columnar or legacy engine.
 
-    ``kernel_tier`` picks the batch/row kernel implementation tier
+    ``kernel_tier`` picks the row kernel implementation tier
     (``compiled``/``columnar``/``scalar``; ``None`` = best available) —
     every tier is interchangeable under the equivalence contract, so this
-    only changes host speed.  The legacy style has a single (scalar)
+    only changes host speed.  The legacy engine has a single (scalar)
     implementation and ignores the tier.
     """
-    if style == "batched":
-        return make_batched_intersect_handler(
-            dodgr, select_batch_kernel(kernel, kernel_tier), callback, per_triangle_compute
-        )
-    if style == "columnar":
+    if columnar:
         return make_columnar_intersect_handler(
             dodgr,
             select_row_kernel(kernel, kernel_tier),
@@ -579,44 +426,32 @@ def make_push_intersect_handler(
             resolve_batch_callback(callback),
             per_triangle_compute,
         )
-    if style != "legacy":
-        raise ValueError(f"unknown push style {style!r}; known: {PUSH_STYLES}")
     return make_legacy_intersect_handler(
         dodgr, INTERSECTION_KERNELS[kernel], callback, per_triangle_compute
     )
 
 
-def drive_push(style: str, ctx, dodgr: DODGraph, handler, allowed=None) -> None:
+def drive_push(columnar: bool, ctx, dodgr: DODGraph, handler, allowed=None) -> None:
     """Run one rank's push drive at the engine's granularity.
 
     ``allowed`` is the rank's push-target set (Push-Pull) or ``None`` for
     everything (Push-Only); the columnar driver converts it to dense
     order-ids itself.
     """
-    if style == "columnar":
-        allowed_ids = None
-        if allowed is not None:
-            order_ids = dodgr.order_ids()
-            allowed_ids = _np.fromiter(
-                (order_ids[q] for q in allowed), dtype=_np.int64, count=len(allowed)
-            )
-        drive_columnar_push(
-            ctx,
-            dodgr,
-            dodgr.csr(ctx),
-            handler,
-            legacy_push_payload_overhead(handler.handler_id),
-            allowed_ids=allowed_ids,
-        )
-    elif style == "batched":
-        drive_batched_push(
-            ctx,
-            dodgr.csr(ctx),
-            handler,
-            legacy_push_payload_overhead(handler.handler_id),
-            allowed=allowed,
-        )
-    elif style == "legacy":
+    if not columnar:
         drive_legacy_push(ctx, dodgr, handler, allowed=allowed)
-    else:
-        raise ValueError(f"unknown push style {style!r}; known: {PUSH_STYLES}")
+        return
+    allowed_ids = None
+    if allowed is not None:
+        order_ids = dodgr.order_ids()
+        allowed_ids = np.fromiter(
+            (order_ids[q] for q in allowed), dtype=np.int64, count=len(allowed)
+        )
+    drive_columnar_push(
+        ctx,
+        dodgr,
+        dodgr.csr(ctx),
+        handler,
+        legacy_push_payload_overhead(handler.handler_id),
+        allowed_ids=allowed_ids,
+    )

@@ -3,12 +3,10 @@
 The Push-Pull pull phase ships ``Adj^m_+(q)`` from its owner to the ranks
 on ``q``'s pull list (coalesced: at most once per requesting rank); the
 requester intersects it locally against every pivot of its own that wanted
-``q``.  The engine registry composes one of three strategies:
+``q``.  Each engine has its own strategy:
 
 * ``legacy`` — one sized RPC per (q, requester), one scalar merge per
   waiting pivot;
-* ``batched`` — same per-(q, requester) deliveries, but each one
-  intersects all of its waiting pivots in a single batch-kernel call;
 * ``columnar`` — one RPC per (owner rank, requesting rank) pair carrying
   every pulled adjacency row at once, row-kernel intersection, triangles
   delivered to the reducer as one
@@ -26,14 +24,12 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Tuple
 
+import numpy as np
+
 from ...graph.dodgr import DODGraph, entry_key
 from ...graph.metadata import TriangleBatch, TriangleMetadata
 from ...runtime.serialization import uvarint_size
-from ..intersection import (
-    INTERSECTION_KERNELS,
-    batch_kernel as select_batch_kernel,
-    row_kernel as select_row_kernel,
-)
+from ..intersection import INTERSECTION_KERNELS, row_kernel as select_row_kernel
 from .driver import (
     candidate_key,
     deliver_batch,
@@ -44,15 +40,7 @@ from .driver import (
 from .request import TriangleCallback
 from .segments import concat_segments
 
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via the list fallback
-    _np = None
-
-__all__ = ["make_pull_handler", "drive_pull", "PULL_STYLES"]
-
-#: The pull-side strategies the engine registry can compose.
-PULL_STYLES = ("legacy", "batched", "columnar")
+__all__ = ["make_pull_handler", "drive_pull"]
 
 
 def _make_legacy_pull_handler(
@@ -97,69 +85,6 @@ def _make_legacy_pull_handler(
                     )
 
     return _pull_deliver_handler
-
-
-def _make_batched_pull_handler(
-    dodgr: DODGraph,
-    batch_kernel,
-    callback: Optional["TriangleCallback"],
-    per_triangle_compute: int,
-    pivots_by_target,
-):
-    """Pull-phase delivery, batched: intersect all waiting pivots at once.
-
-    ``Adj^m_+(q)`` arrives once per requesting rank exactly as in the
-    legacy path; instead of one merge per waiting pivot, every pivot's
-    suffix becomes one segment of a single batch-kernel call against the
-    pulled list (mapped to dense ``<+`` order ids).
-    """
-
-    def _pull_deliver_batched_handler(
-        ctx, q: Any, meta_q: Any, adjacency_q: List[tuple]
-    ) -> None:
-        ctx.add_counter("vertices_pulled", 1)
-        csr = dodgr.csr(ctx)
-        order_ids = dodgr.order_ids()
-        pulled_ids = [order_ids[entry[0]] for entry in adjacency_q]
-        rows: List[int] = []
-        starts: List[int] = []
-        ends: List[int] = []
-        for p, q_index in pivots_by_target[ctx.rank].get(q, ()):
-            row = csr.row_of(p)
-            if row is None:
-                continue
-            lo, hi = csr.row_slice(row)
-            start = lo + q_index + 1
-            ctx.add_counter("wedge_checks", hi - start)
-            rows.append(row)
-            starts.append(start)
-            ends.append(hi)
-        if not rows:
-            return
-        candidate_ids, offsets = concat_segments(csr.tgt_ids, starts, ends)
-        result = batch_kernel(candidate_ids, offsets, pulled_ids)
-        ctx.add_compute(result.comparisons)
-        if not result.matches:
-            return
-        ctx.add_counter("triangles_found", len(result.matches))
-        if callback is None:
-            return
-        ctx.add_compute(per_triangle_compute * len(result.matches))
-        for wedge, cand_idx, adj_idx in result.matches:
-            r, _d_r, meta_pr, meta_r = csr.entries[starts[wedge] + cand_idx]
-            meta_qr = adjacency_q[adj_idx][2]
-            row = rows[wedge]
-            callback(
-                ctx,
-                TriangleMetadata(
-                    p=csr.row_vertices[row], q=q, r=r,
-                    meta_p=csr.row_meta[row], meta_q=meta_q, meta_r=meta_r,
-                    meta_pq=csr.entries[starts[wedge] - 1][2],
-                    meta_pr=meta_pr, meta_qr=meta_qr,
-                ),
-            )
-
-    return _pull_deliver_batched_handler
 
 
 def _make_columnar_pull_handler(
@@ -208,7 +133,7 @@ def _make_columnar_pull_handler(
         candidate_ids, offsets = concat_segments(csr.tgt_ids, starts, ends)
         adjacency = row_adjacency(owner_csr, dodgr.order_count())
         result = row_kernel(
-            candidate_ids, offsets, _np.asarray(seg_q_rows, dtype=_np.int64), adjacency
+            candidate_ids, offsets, np.asarray(seg_q_rows, dtype=np.int64), adjacency
         )
         ctx.add_compute(int(result.comparisons))
         matches = len(result)
@@ -218,12 +143,12 @@ def _make_columnar_pull_handler(
         if callback is None:
             return
         ctx.add_compute(per_triangle_compute * matches)
-        starts_arr = _np.asarray(starts, dtype=_np.int64)
-        seg = result.seg if hasattr(result.seg, "tolist") else _np.asarray(result.seg)
+        starts_arr = np.asarray(starts, dtype=np.int64)
+        seg = result.seg if hasattr(result.seg, "tolist") else np.asarray(result.seg)
         cand_pos = (
             result.cand_pos
             if hasattr(result.cand_pos, "tolist")
-            else _np.asarray(result.cand_pos)
+            else np.asarray(result.cand_pos)
         )
         src_pos = (starts_arr[seg] + cand_pos - offsets[seg]).tolist()
         seg_list = seg.tolist()
@@ -252,7 +177,7 @@ def _make_columnar_pull_handler(
 
 
 def make_pull_handler(
-    style: str,
+    columnar: bool,
     dodgr: DODGraph,
     kernel: str,
     callback: Optional["TriangleCallback"],
@@ -260,17 +185,12 @@ def make_pull_handler(
     pivots_by_target,
     kernel_tier: Optional[str] = None,
 ):
-    """Build the requester-side pull handler for an engine's ``pull_style``.
+    """Build the requester-side pull handler of the columnar or legacy engine.
 
-    ``kernel_tier`` selects the batch/row kernel implementation tier, as in
+    ``kernel_tier`` selects the row kernel implementation tier, as in
     :func:`~repro.core.engine.driver.make_push_intersect_handler`.
     """
-    if style == "batched":
-        return _make_batched_pull_handler(
-            dodgr, select_batch_kernel(kernel, kernel_tier), callback,
-            per_triangle_compute, pivots_by_target,
-        )
-    if style == "columnar":
+    if columnar:
         return _make_columnar_pull_handler(
             dodgr,
             select_row_kernel(kernel, kernel_tier),
@@ -279,26 +199,24 @@ def make_pull_handler(
             per_triangle_compute,
             pivots_by_target,
         )
-    if style != "legacy":
-        raise ValueError(f"unknown pull style {style!r}; known: {PULL_STYLES}")
     return _make_legacy_pull_handler(
         dodgr, INTERSECTION_KERNELS[kernel], callback, per_triangle_compute,
         pivots_by_target,
     )
 
 
-def drive_pull(style: str, ctx, dodgr: DODGraph, handler, pull_list) -> None:
+def drive_pull(columnar: bool, ctx, dodgr: DODGraph, handler, pull_list) -> None:
     """Run one owner rank's pull deliveries at the engine's granularity.
 
     ``pull_list`` maps each locally owned ``q`` to the source ranks that
-    should receive ``Adj^m_+(q)``.  The legacy and batched styles send one
-    sized RPC per (q, requester); the columnar style coalesces one RPC per
+    should receive ``Adj^m_+(q)``.  The legacy engine sends one sized RPC
+    per (q, requester); the columnar engine coalesces one RPC per
     requesting rank, accounting each replaced delivery — in legacy send
     order — at the exact serialized size of the legacy message (same wire
     framing as the push accounting: outer pair + argument list + payload
     list).
     """
-    if style == "columnar":
+    if columnar:
         rank = ctx.rank
         csr = dodgr.csr(rank)
         pull_overhead = legacy_push_payload_overhead(handler.handler_id)
@@ -329,13 +247,11 @@ def drive_pull(style: str, ctx, dodgr: DODGraph, handler, pull_list) -> None:
                 source_rank,
                 handler,
                 csr,
-                _np.asarray(q_row_list, dtype=_np.int64),
+                np.asarray(q_row_list, dtype=np.int64),
                 virtual_rpcs=len(q_row_list),
                 virtual_bytes=group_bytes,
             )
         return
-    if style not in ("legacy", "batched"):
-        raise ValueError(f"unknown pull style {style!r}; known: {PULL_STYLES}")
     store = dodgr.local_store(ctx)
     for q, requesters in pull_list.items():
         record = store.get(q)

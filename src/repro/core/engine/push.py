@@ -3,10 +3,8 @@
 This is Algorithm 1 of the paper expressed over the engine layer: register
 the engine's intersect handler, walk every rank's pivots at the engine's
 granularity (:func:`~repro.core.engine.driver.drive_push`), barrier, report.
-The three near-copies of this loop that used to live in ``core/survey.py``
-collapse to the one program below; the loop itself now lives in
-:mod:`~repro.core.engine.program`, where the simulated and process backends
-share it.
+The loop itself lives in :mod:`~repro.core.engine.program`, where the
+simulated and process backends share it.
 """
 
 from __future__ import annotations
@@ -33,7 +31,7 @@ def build_push_program(request: SurveyRequest, spec: EngineSpec) -> SurveyProgra
     world = dodgr.world
     handler = world.register_handler(
         make_push_intersect_handler(
-            spec.push_style,
+            spec.columnar,
             dodgr,
             request.kernel,
             request.callback,
@@ -43,10 +41,10 @@ def build_push_program(request: SurveyRequest, spec: EngineSpec) -> SurveyProgra
     )
 
     # Driver phase: every rank walks its local pivots and pushes suffixes —
-    # one coalesced RPC per destination rank (columnar) or (destination, q)
-    # group (batched), one RPC per wedge otherwise.
+    # one coalesced RPC per destination rank (columnar), one RPC per wedge
+    # (legacy).
     def drive(ctx) -> None:
-        drive_push(spec.push_style, ctx, dodgr, handler)
+        drive_push(spec.columnar, ctx, dodgr, handler)
 
     return SurveyProgram(
         algorithm="push",

@@ -5,13 +5,13 @@ Section 4.4 of the paper as one program, parameterised by an
 
 1. **Dry run** — every rank counts, per target vertex ``q``, the candidate
    edges it would push; owners compare against ``|Adj+(q)|`` and either
-   record the source on ``q``'s pull list or advise it to push.
-   ``spec.proposal_style == "batched"`` coalesces the proposals into one
-   RPC per (source, dest) rank pair, accounted at exact legacy sizes.
-2. **Push** — identical to Push-Only at ``spec.push_style`` granularity,
-   skipping targets that will be pulled.
-3. **Pull** — owners deliver ``Adj^m_+(q)`` at ``spec.pull_style``
-   granularity (see :mod:`repro.core.engine.pull`).
+   record the source on ``q``'s pull list or advise it to push.  The
+   columnar engine coalesces the proposals into one RPC per (source, dest)
+   rank pair, accounted at exact legacy sizes.
+2. **Push** — identical to Push-Only at the engine's granularity, skipping
+   targets that will be pulled.
+3. **Pull** — owners deliver ``Adj^m_+(q)`` at the engine's granularity
+   (see :mod:`repro.core.engine.pull`).
 
 Handler registration order is identical for every engine so that handler
 ids — and therefore the serialized size of every dry-run message and the
@@ -89,12 +89,12 @@ def build_push_pull_program(request: SurveyRequest, spec: EngineSpec) -> SurveyP
     # Handler registration order is identical in every mode so that handler
     # ids — and therefore the serialized size of every dry-run message and
     # the accounted size of every push/pull message — match the legacy run.
-    batched_proposals = spec.proposal_style == "batched"
+    batched_proposals = spec.columnar
     h_propose = world.register_handler(_propose_handler)
     _h_advise = world.register_handler(_advise_push_handler)
     h_intersect = world.register_handler(
         make_push_intersect_handler(
-            spec.push_style, dodgr, request.kernel, callback, per_triangle_compute,
+            spec.columnar, dodgr, request.kernel, callback, per_triangle_compute,
             kernel_tier=request.kernel_tier,
         )
     )
@@ -102,7 +102,7 @@ def build_push_pull_program(request: SurveyRequest, spec: EngineSpec) -> SurveyP
     # accounted pull message serializes is the legacy one.
     h_pull_deliver = world.register_handler(
         make_pull_handler(
-            spec.pull_style,
+            spec.columnar,
             dodgr,
             request.kernel,
             callback,
@@ -177,14 +177,14 @@ def build_push_pull_program(request: SurveyRequest, spec: EngineSpec) -> SurveyP
     # ------------------------------------------------------------------
     def drive_push_phase(ctx) -> None:
         drive_push(
-            spec.push_style, ctx, dodgr, h_intersect, allowed=push_targets[ctx.rank]
+            spec.columnar, ctx, dodgr, h_intersect, allowed=push_targets[ctx.rank]
         )
 
     # ------------------------------------------------------------------
     # Phase 3: Pull phase (owners broadcast adjacency lists, coalesced).
     # ------------------------------------------------------------------
     def drive_pull_phase(ctx) -> None:
-        drive_pull(spec.pull_style, ctx, dodgr, h_pull_deliver, pull_lists[ctx.rank])
+        drive_pull(spec.columnar, ctx, dodgr, h_pull_deliver, pull_lists[ctx.rank])
 
     return SurveyProgram(
         algorithm="push_pull",

@@ -1,59 +1,45 @@
-"""Engine registry: one place where survey execution strategies are declared.
+"""Engine registry: the two survey execution engines and their selectors.
 
 The paper's survey abstraction is one algorithm with interchangeable
-communication strategies (Table 4); an *engine* here is one such strategy,
-declared as an :class:`EngineSpec` — a pure-data composition of the shared
-driver core in :mod:`repro.core.engine.driver` and
-:mod:`repro.core.engine.pull`:
+communication strategies (Table 4).  This repository runs it on two
+engines, each declared as an :class:`EngineSpec`:
 
-* ``push_style`` — how candidate pushes are generated, coalesced and
-  intersected (``legacy`` one RPC per wedge, ``batched`` one RPC per
-  (destination rank, target vertex) over the batch kernels, ``columnar``
-  one RPC per (source rank, destination rank) over the row kernels);
-* ``pull_style`` — how the Push-Pull pull phase delivers ``Adj^m_+(q)``
-  and intersects it at the requester;
-* ``proposal_style`` — whether the Push-Pull dry run coalesces its
-  proposals;
-* ``incremental_style`` — which delta-survey implementation
-  (:mod:`repro.core.engine.delta`) the engine maps to, or ``None`` when
-  the engine has no incremental form.
+* ``columnar`` — the production engine and the default at every entry
+  point: one RPC per (source rank, destination rank) pair, row-kernel
+  intersection, coalesced dry-run proposals, a coalesced pull phase and
+  :class:`~repro.graph.metadata.TriangleBatch` delivery to batch reducers;
+* ``legacy`` — the scalar parity oracle, selected only explicitly: one
+  sized RPC per wedge, per-message scalar intersection, per-triangle
+  callback delivery.
 
-Adding an engine is therefore a :func:`register_engine` call with a new
-composition — no new driver loop.  ``columnar-pull`` below is exactly
-that: the batched push/dry-run phases combined with the columnar
-row-kernel pull phase, registered as data.
-
-Every registered engine shares the equivalence contract pinned by the
-golden parity suites: identical triangles, identical reducer panels,
-byte-identical Table 4 communication totals.
+Both engines share the equivalence contract pinned by the golden parity
+suites: identical triangles, identical reducer panels, byte-identical
+Table 4 communication totals.  Both have an incremental (delta-survey)
+form in :mod:`repro.core.engine.delta`.
 """
 
 from __future__ import annotations
 
 import difflib
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, Optional, Tuple
+from typing import Any, Dict, Iterable, Tuple
 
 from .request import EngineConfig
-
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via the list fallback
-    _np = None
 
 __all__ = [
     "EngineSpec",
     "BACKENDS",
-    "register_engine",
     "resolve_engine",
-    "resolve_incremental_engine",
     "resolve_backend",
     "registered_engines",
     "engine_names",
-    "incremental_engine_names",
     "backend_names",
     "validate_request",
 ]
+
+
+#: The engine every ``engine=None`` selector resolves to.
+DEFAULT_ENGINE = "columnar"
 
 
 @dataclass(frozen=True)
@@ -62,49 +48,19 @@ class EngineSpec:
 
     name: str
     description: str
-    #: Candidate-push strategy: ``"legacy"``, ``"batched"`` or ``"columnar"``.
-    push_style: str = "legacy"
-    #: Pull-phase strategy: ``"legacy"``, ``"batched"`` or ``"columnar"``.
-    pull_style: str = "legacy"
-    #: Dry-run proposal strategy: ``"legacy"`` or ``"batched"``.
-    proposal_style: str = "legacy"
-    #: Delta-survey implementation (``"legacy"``/``"columnar"``) or ``None``
-    #: when the engine has no incremental form.
-    incremental_style: Optional[str] = None
-    #: The engine's drivers need NumPy arrays.
-    requires_numpy: bool = False
-    #: Engine to downgrade to when ``requires_numpy`` cannot be satisfied.
-    fallback: Optional[str] = None
     #: Kernel tiers this engine's drivers can run
-    #: (:data:`repro.core.intersection.KERNEL_TIERS` order).  Engines whose
-    #: intersections go through the batch/row kernel tables support every
-    #: tier; the legacy scalar driver only the scalar one.  Requesting a
-    #: declared-but-unavailable tier (no numba wheel) downgrades along
-    #: ``compiled -> columnar -> scalar``; requesting an *undeclared* tier
-    #: is a pre-run error (:func:`validate_request`).
+    #: (:data:`repro.core.intersection.KERNEL_TIERS` order).  The columnar
+    #: engine's row kernels support every tier; the legacy scalar driver
+    #: only the scalar one.  Requesting a declared-but-unavailable tier (no
+    #: numba wheel) downgrades along ``compiled -> columnar -> scalar``;
+    #: requesting an *undeclared* tier is a pre-run error
+    #: (:func:`validate_request`).
     kernel_tiers: Tuple[str, ...] = ("scalar",)
 
-
-#: Registration-ordered engine table.  Dicts preserve insertion order, which
-#: the registry exposes as the canonical listing order (docs, CLIs, smokes).
-_REGISTRY: Dict[str, EngineSpec] = {}
-
-
-def register_engine(spec: EngineSpec, replace: bool = False) -> EngineSpec:
-    """Register an execution engine under ``spec.name``.
-
-    Set ``replace=True`` to overwrite an existing registration (used by
-    tests that shadow an engine); otherwise duplicate names are an error.
-    """
-    if not replace and spec.name in _REGISTRY:
-        raise ValueError(f"engine {spec.name!r} is already registered")
-    if spec.requires_numpy and spec.fallback is not None:
-        if spec.fallback not in _REGISTRY and spec.fallback != spec.name:
-            raise ValueError(
-                f"engine {spec.name!r} declares unknown fallback {spec.fallback!r}"
-            )
-    _REGISTRY[spec.name] = spec
-    return spec
+    @property
+    def columnar(self) -> bool:
+        """True for the columnar engine, False for the scalar oracle."""
+        return self.name == "columnar"
 
 
 def registered_engines() -> Tuple[EngineSpec, ...]:
@@ -115,13 +71,6 @@ def registered_engines() -> Tuple[EngineSpec, ...]:
 def engine_names() -> Tuple[str, ...]:
     """Registered engine names, in registration order."""
     return tuple(_REGISTRY)
-
-
-def incremental_engine_names() -> Tuple[str, ...]:
-    """Names of the engines that have an incremental (delta-survey) form."""
-    return tuple(
-        spec.name for spec in _REGISTRY.values() if spec.incremental_style is not None
-    )
 
 
 #: The execution-backend axis, orthogonal to the engine axis: every engine
@@ -153,19 +102,6 @@ def resolve_backend(backend: Any = None) -> str:
     )
 
 
-def _downgrade_without_numpy(spec: EngineSpec) -> EngineSpec:
-    """Follow ``fallback`` links until a NumPy-free engine is reached."""
-    seen = set()
-    while spec.requires_numpy and _np is None:  # pragma: no cover - no-NumPy env
-        if spec.fallback is None or spec.name in seen:
-            raise ValueError(
-                f"engine {spec.name!r} requires NumPy and declares no fallback"
-            )
-        seen.add(spec.name)
-        spec = _REGISTRY[spec.fallback]
-    return spec
-
-
 def suggest_name(name: Any, known: Iterable[str]) -> str:
     """A ``; did you mean ...?`` suffix for unknown-name errors.
 
@@ -178,65 +114,32 @@ def suggest_name(name: Any, known: Iterable[str]) -> str:
     return f"; did you mean {matches[0]!r}?" if matches else ""
 
 
-def _lookup(engine: Any, batched: bool = False) -> EngineSpec:
-    """Resolve a selector to its registered spec, without NumPy downgrading."""
+def resolve_engine(engine: Any = None) -> EngineSpec:
+    """Normalise an ``engine=`` selector to its registered engine spec.
+
+    ``engine`` may be ``None``, a registered name, an :class:`EngineSpec`
+    or an :class:`~repro.core.engine.request.EngineConfig`.  ``None`` — and
+    an ``EngineConfig`` whose ``engine`` field is unset — selects
+    :data:`DEFAULT_ENGINE`.
+    """
     if isinstance(engine, EngineSpec):
         spec = _REGISTRY.get(engine.name)
         if spec is not engine:
             raise ValueError(
                 f"engine {engine.name!r} is not the registered spec of that "
-                f"name; register it first"
+                f"name; known engines: {engine_names()}"
             )
         return spec
     if isinstance(engine, EngineConfig):
         engine = engine.engine
     if engine is None:
-        engine = "batched" if batched else "legacy"
+        engine = DEFAULT_ENGINE
     spec = _REGISTRY.get(engine)
     if spec is None:
         raise ValueError(
             f"unknown survey engine {engine!r}; known: {engine_names()}"
             f"{suggest_name(engine, engine_names())}"
         )
-    return spec
-
-
-def resolve_engine(engine: Any = None, batched: bool = False) -> EngineSpec:
-    """Normalise an ``engine``/``batched`` selector pair to an engine spec.
-
-    ``engine`` may be ``None``, a registered name, an :class:`EngineSpec`
-    or an :class:`~repro.core.engine.request.EngineConfig`.  ``engine=None``
-    preserves the PR 1 API: ``batched=True`` selects the batched engine,
-    otherwise legacy.  Engines whose drivers need NumPy downgrade along
-    their declared ``fallback`` chain when it is unavailable — results are
-    identical either way (the equivalence contract).
-    """
-    return _downgrade_without_numpy(_lookup(engine, batched))
-
-
-def resolve_incremental_engine(engine: Any = None) -> EngineSpec:
-    """Resolve an engine selector for the incremental (delta) survey.
-
-    Defaults to the columnar engine when NumPy is available, legacy
-    otherwise.  Engines without an ``incremental_style`` are rejected.
-    Without NumPy, engines whose incremental form is columnar downgrade
-    straight to the legacy engine — the full-survey ``fallback`` chain does
-    not apply here, because a fallback like ``batched`` has no incremental
-    form at all.
-    """
-    if isinstance(engine, EngineConfig):
-        engine = engine.engine
-    if engine is None:
-        engine = "columnar" if _np is not None else "legacy"
-    spec = _lookup(engine)
-    if spec.incremental_style is None:
-        raise ValueError(
-            f"unknown incremental engine {spec.name!r}; known: "
-            f"{incremental_engine_names()}"
-            f"{suggest_name(spec.name, incremental_engine_names())}"
-        )
-    if spec.incremental_style == "columnar" and _np is None:
-        spec = _REGISTRY["legacy"]
     return spec
 
 
@@ -284,73 +187,30 @@ def validate_request(request: Any, spec: EngineSpec) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Built-in engines.  Everything below is data: the drivers they compose live
-# in driver.py / pull.py / delta.py, and a new engine is a new composition.
+# The engine table.  Insertion order is the canonical listing order (docs,
+# CLIs, smokes): the oracle first.
 # ---------------------------------------------------------------------------
 
-register_engine(
-    EngineSpec(
-        name="legacy",
-        description=(
-            "Scalar reference: one sized RPC per wedge, per-message scalar "
-            "intersection, per-triangle callback delivery.  The parity "
-            "oracle every other engine is measured against."
+_REGISTRY: Dict[str, EngineSpec] = {
+    spec.name: spec
+    for spec in (
+        EngineSpec(
+            name="legacy",
+            description=(
+                "Scalar reference: one sized RPC per wedge, per-message "
+                "scalar intersection, per-triangle callback delivery.  The "
+                "parity oracle the columnar engine is measured against."
+            ),
         ),
-        push_style="legacy",
-        pull_style="legacy",
-        proposal_style="legacy",
-        incremental_style="legacy",
-    )
-)
-
-register_engine(
-    EngineSpec(
-        name="batched",
-        description=(
-            "PR 1 coalescing: one RPC per (destination rank, target vertex) "
-            "group, vectorized batch-kernel intersection over the CSR "
-            "adjacency, coalesced dry-run proposals."
+        EngineSpec(
+            name="columnar",
+            description=(
+                "Array engine (the default): one RPC per (source rank, "
+                "destination rank) pair, row-kernel intersection, coalesced "
+                "dry-run proposals, TriangleBatch delivery to batch reducers, "
+                "columnar pull phase."
+            ),
+            kernel_tiers=("compiled", "columnar", "scalar"),
         ),
-        push_style="batched",
-        pull_style="batched",
-        proposal_style="batched",
-        kernel_tiers=("compiled", "columnar", "scalar"),
     )
-)
-
-register_engine(
-    EngineSpec(
-        name="columnar",
-        description=(
-            "PR 3 array engine: one RPC per (source rank, destination rank) "
-            "pair, row-kernel intersection, TriangleBatch delivery to batch "
-            "reducers, columnar pull phase."
-        ),
-        push_style="columnar",
-        pull_style="columnar",
-        proposal_style="batched",
-        incremental_style="columnar",
-        requires_numpy=True,
-        fallback="batched",
-        kernel_tiers=("compiled", "columnar", "scalar"),
-    )
-)
-
-register_engine(
-    EngineSpec(
-        name="columnar-pull",
-        description=(
-            "Hybrid proving the registry: batched push/dry-run phases (batch "
-            "kernels) composed with the columnar row-kernel pull phase "
-            "(TriangleBatch delivery to batch reducers).  Defined purely as "
-            "this spec — no engine-specific driver code."
-        ),
-        push_style="batched",
-        pull_style="columnar",
-        proposal_style="batched",
-        incremental_style="columnar",
-        requires_numpy=True,
-        fallback="batched",
-        kernel_tiers=("compiled", "columnar", "scalar"),
-    )
-)
+}

@@ -18,7 +18,7 @@ everywhere, instead of three loose keywords re-declared at every layer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Callable, Optional, Tuple
 
 __all__ = [
@@ -35,7 +35,6 @@ __all__ = [
     "split_engine_selector",
     "split_backend_selector",
     "split_execution_selector",
-    "default_engine",
 ]
 
 #: Type of a survey callback: ``callback(ctx, tri)`` executed on the rank
@@ -43,8 +42,8 @@ __all__ = [
 TriangleCallback = Callable[[Any, Any], None]
 
 #: What an ``engine=`` keyword accepts anywhere in the system: ``None`` (the
-#: entry point's default), a registered engine name, an ``EngineSpec``, or
-#: an :class:`EngineConfig`.
+#: columnar default), a registered engine name, an ``EngineSpec``, or an
+#: :class:`EngineConfig`.
 EngineSelector = Any
 
 #: Abstract compute units charged per triangle for executing a user callback
@@ -69,10 +68,9 @@ class EngineConfig:
     Parameters
     ----------
     engine:
-        Registered engine name (``"legacy"``, ``"batched"``, ``"columnar"``,
-        ``"columnar-pull"``, or any name added through
-        :func:`~repro.core.engine.register_engine`).  ``None`` keeps each
-        entry point's documented default.
+        Engine name: ``"columnar"`` (the default everywhere) or
+        ``"legacy"`` (the scalar parity oracle).  ``None`` selects the
+        default.
     kernel:
         Intersection kernel name (``merge_path``, ``binary_search``,
         ``hash``); ``None`` keeps the entry point's ``kernel=`` argument
@@ -185,23 +183,6 @@ def split_execution_selector(
     return kernel_tier, storage
 
 
-def default_engine(engine: "EngineSelector", default: str) -> "EngineSelector":
-    """Fill an unset engine name with a layer's documented default.
-
-    Layers whose default engine is not the core entry points' legacy —
-    ``analysis/*`` and the incremental path default to columnar — apply
-    this before forwarding, so ``engine=None`` *and* an
-    :class:`EngineConfig` whose ``engine`` field is unset (the "pin just
-    the kernel" use) both keep that layer's default instead of silently
-    resolving to legacy downstream.
-    """
-    if engine is None:
-        return default
-    if isinstance(engine, EngineConfig) and engine.engine is None:
-        return replace(engine, engine=default)
-    return engine
-
-
 @dataclass
 class SurveyRequest:
     """Everything an execution engine needs to run one survey.
@@ -240,6 +221,6 @@ class SurveyResult:
     """An engine run's outcome: the report plus how it was executed."""
 
     report: Any
-    #: Name of the engine that actually ran (after any NumPy fallback).
+    #: Name of the engine that ran.
     engine: str
     request: SurveyRequest = field(repr=False, default=None)

@@ -1,21 +1,15 @@
 """Segment (ragged-array) utilities shared by every survey engine.
 
-The batched and columnar drivers all speak the same CSR/ragged dialect:
-a flat array of values plus an ``offsets`` array such that segment ``w``
-occupies ``flat[offsets[w]:offsets[w + 1]]``.  Before the engine layer
-existed these helpers were duplicated across ``core/survey.py``
-(``_concat_segments``) and ``core/incremental.py`` (``_ragged_gather``);
-this module is now the single home for both.
+The columnar drivers all speak the same CSR/ragged dialect: a flat array
+of values plus an ``offsets`` array such that segment ``w`` occupies
+``flat[offsets[w]:offsets[w + 1]]``.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple
 
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via the list fallback
-    _np = None
+import numpy as np
 
 __all__ = ["concat_segments", "ragged_gather"]
 
@@ -23,38 +17,27 @@ __all__ = ["concat_segments", "ragged_gather"]
 def concat_segments(ids, starts: Sequence[int], ends: Sequence[int]):
     """Concatenate ``ids[s:e]`` slices into one flat array plus offsets.
 
-    The CSR/ragged layout consumed by the batch kernels: segment ``w``
-    occupies ``flat[offsets[w]:offsets[w + 1]]``.  Falls back to plain
-    lists when NumPy is unavailable (the scalar batch kernels accept
-    either).
+    The CSR/ragged layout consumed by the row kernels: segment ``w``
+    occupies ``flat[offsets[w]:offsets[w + 1]]``.
     """
-    if _np is not None:
-        starts_arr = _np.asarray(starts, dtype=_np.int64)
-        lengths = _np.asarray(ends, dtype=_np.int64) - starts_arr
-        index, offsets = ragged_gather(starts_arr, lengths)
-        if index.size == 0:
-            return index, offsets
-        return _np.asarray(ids)[index], offsets
-    flat: List[int] = []
-    offsets_list = [0]
-    for start, end in zip(starts, ends):
-        flat.extend(ids[start:end])
-        offsets_list.append(len(flat))
-    return flat, offsets_list
+    starts_arr = np.asarray(starts, dtype=np.int64)
+    lengths = np.asarray(ends, dtype=np.int64) - starts_arr
+    index, offsets = ragged_gather(starts_arr, lengths)
+    if index.size == 0:
+        return index, offsets
+    return np.asarray(ids)[index], offsets
 
 
-def ragged_gather(starts, lengths) -> Tuple["_np.ndarray", "_np.ndarray"]:
+def ragged_gather(starts, lengths) -> Tuple["np.ndarray", "np.ndarray"]:
     """Flat gather index of ragged segments ``[starts[i], starts[i]+lengths[i])``.
 
     Returns ``(gather, offsets)`` where ``gather`` indexes the source array
-    and ``offsets`` delimits the segments in the gathered result.  NumPy
-    only — the columnar drivers that need it never run without it (the
-    registry downgrades them first).
+    and ``offsets`` delimits the segments in the gathered result.
     """
-    offsets = _np.concatenate(([0], _np.cumsum(lengths)))
+    offsets = np.concatenate(([0], np.cumsum(lengths)))
     total = int(offsets[-1])
     if total == 0:
-        return _np.empty(0, dtype=_np.int64), offsets
+        return np.empty(0, dtype=np.int64), offsets
     return (
-        _np.arange(total, dtype=_np.int64) + _np.repeat(starts - offsets[:-1], lengths)
+        np.arange(total, dtype=np.int64) + np.repeat(starts - offsets[:-1], lengths)
     ), offsets

@@ -40,15 +40,13 @@ Engines and accounting
 ----------------------
 
 The ``engine=`` selector resolves through the same registry as the full
-surveys (:func:`~repro.core.engine.resolve_incremental_engine`); an
-engine's ``incremental_style`` picks the implementation in
-:mod:`repro.core.engine.delta`:
+surveys (:func:`~repro.core.engine.resolve_engine`); each engine has its
+delta implementation in :mod:`repro.core.engine.delta`:
 
 * ``legacy`` — the scalar reference: one sized RPC per (wedge, stream)
   carrying the filtered candidate tuples, intersected per message with the
   scalar kernels.  This is the parity oracle.
-* ``columnar`` (also what ``columnar-pull`` maps to — a delta survey has no
-  pull phase) — the fast path: candidate selection as boolean array masks
+* ``columnar`` (the default) — the fast path: candidate selection as boolean array masks
   over the CSR edge positions (via
   :meth:`~repro.graph.delta.AppliedDelta.edge_mask`), one coalesced RPC per
   (source rank, destination rank, stream), intersection through
@@ -90,9 +88,8 @@ from .engine import (
     DELTA_PUSH_PHASE,
     EngineConfig,
     TriangleCallback,
-    incremental_engine_names,
     resolve_batch_callback,
-    resolve_incremental_engine,
+    resolve_engine,
     split_backend_selector,
     split_engine_selector,
 )
@@ -109,16 +106,10 @@ from .results import SurveyReport
 
 __all__ = [
     "incremental_triangle_survey",
-    "INCREMENTAL_ENGINES",
     "DELTA_PUSH_PHASE",
     "StreamingSurvey",
     "StreamingStep",
 ]
-
-#: Engines with an incremental (delta-survey) form, snapshotted at import;
-#: :func:`repro.core.engine.incremental_engine_names` is the live view.
-INCREMENTAL_ENGINES = incremental_engine_names()
-
 
 def incremental_triangle_survey(
     dodgr: DODGraph,
@@ -150,15 +141,13 @@ def incremental_triangle_survey(
         ``hash``).
     engine:
         Engine selector (name or :class:`~repro.core.engine.EngineConfig`)
-        resolved against the engine registry; the engine's
-        ``incremental_style`` — ``"legacy"`` (scalar reference) or
-        ``"columnar"`` (default when NumPy is available) — picks the
-        implementation.  Both produce identical triangles, reducer
+        resolved against the engine registry: ``"columnar"`` (the default)
+        or ``"legacy"`` (scalar reference).  Both produce identical triangles, reducer
         deliveries and communication counters — see the module docstring.
     kernel_tier:
-        Row-kernel implementation tier for the columnar style
+        Row-kernel implementation tier for the columnar engine
         (``"compiled"``/``"columnar"``/``"scalar"``; ``None``/``"auto"`` =
-        best available); the legacy style has only its scalar form.
+        best available); the legacy engine has only its scalar form.
 
     Remaining parameters match :func:`~repro.core.survey.triangle_survey_push`.
     Returns a :class:`~repro.core.results.SurveyReport` whose ``triangles``/
@@ -182,14 +171,14 @@ def incremental_triangle_survey(
     engine, kernel, callback_compute_units = split_engine_selector(
         engine, kernel, callback_compute_units
     )
-    style = resolve_incremental_engine(engine).incremental_style
+    columnar = resolve_engine(engine).columnar
     per_triangle_compute = callback_compute_units if callback is not None else 0
     if reset_stats:
         world.reset_stats()
 
     # Handler registration order is fixed (full first, new second) in both
     # engines, so handler ids — and every accounted message size — match.
-    if style == "columnar":
+    if columnar:
         row_kernel = select_row_kernel(kernel, kernel_tier)
         batch_callback = resolve_batch_callback(callback)
         h_full = world.register_handler(
@@ -222,7 +211,7 @@ def incremental_triangle_survey(
 
     host_start = time.perf_counter()
     world.begin_phase(phase_name)
-    if style == "columnar":
+    if columnar:
         overhead_full = legacy_push_payload_overhead(h_full.handler_id)
         overhead_new = legacy_push_payload_overhead(h_new.handler_id)
         for ctx in world.ranks:

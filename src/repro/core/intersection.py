@@ -13,31 +13,26 @@ both inputs, because the caller needs the metadata stored alongside each
 entry, and reports the number of elementary comparisons performed so the
 simulated compute cost reflects the kernel actually used.
 
-Batched kernels
----------------
+Row kernels
+-----------
 
-The scalar kernels above process one wedge check per call.  The batched
-engine (``triangle_survey(..., batched=True)``) coalesces every candidate
-suffix destined to one target vertex into a single call: the suffixes are
-concatenated into one flat key array with segment offsets (a ragged/CSR
-layout), and :func:`merge_path_batch` / :func:`hash_batch` intersect *all*
-segments against the shared adjacency in one vectorized pass.  The batch
-kernels are defined to be drop-in aggregates of the scalar kernels: per
-segment they produce exactly the matches the scalar kernel would, and their
-``comparisons`` total is exactly the sum of the scalar kernels' counts, so
-the simulated-cost accounting of a batched survey is identical to the legacy
-per-wedge path.  A pure-Python fallback (used automatically when NumPy is
-unavailable) loops the scalar kernels per segment.
+The scalar kernels process one wedge check per call.  The columnar engine
+coalesces every wedge a source rank sends to one destination rank into a
+single call: the candidate suffixes are concatenated into one flat key array
+with segment offsets (a ragged/CSR layout), each segment names the adjacency
+row it is checked against, and :func:`merge_path_rows` / :func:`hash_rows`
+intersect *all* segments in one vectorized pass.  The row kernels are
+drop-in aggregates of the scalar kernels: per segment they produce exactly
+the matches the scalar kernel would, and their ``comparisons`` total is
+exactly the sum of the scalar kernels' counts, so the simulated-cost
+accounting of a columnar survey is identical to the legacy per-wedge path.
 """
 
 from __future__ import annotations
 
 from typing import Any, Callable, List, Optional, Sequence, Tuple
 
-try:  # NumPy accelerates the batch kernels but is optional.
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via force_python paths
-    _np = None
+import numpy as np
 
 __all__ = [
     "merge_path_intersection",
@@ -45,11 +40,6 @@ __all__ = [
     "hash_intersection",
     "IntersectionResult",
     "INTERSECTION_KERNELS",
-    "BatchIntersectionResult",
-    "merge_path_batch",
-    "hash_batch",
-    "binary_search_batch",
-    "BATCH_KERNELS",
     "RowAdjacency",
     "RowBatchResult",
     "merge_path_rows",
@@ -59,11 +49,9 @@ __all__ = [
     "KERNEL_TIERS",
     "KERNEL_TIER_FALLBACK",
     "ROW_KERNEL_TIERS",
-    "BATCH_KERNEL_TIERS",
     "available_kernel_tiers",
     "resolve_kernel_tier",
     "row_kernel",
-    "batch_kernel",
 ]
 
 #: One match: (index into the candidate list, index into the adjacency list).
@@ -184,37 +172,6 @@ INTERSECTION_KERNELS = {
 }
 
 
-# ---------------------------------------------------------------------------
-# Batched kernels
-# ---------------------------------------------------------------------------
-
-#: One batched match: (segment index, index within the segment, adjacency index).
-BatchMatch = Tuple[int, int, int]
-
-
-class BatchIntersectionResult:
-    """Matches plus the aggregate comparison count of one batched call.
-
-    ``matches`` holds ``(segment, candidate_index, adjacency_index)`` triples
-    in ascending segment order (and ascending candidate index within a
-    segment) — the same per-segment order the scalar kernels produce.
-    ``comparisons`` is exactly the sum the scalar kernel would have reported
-    over one call per segment.
-    """
-
-    __slots__ = ("matches", "comparisons")
-
-    def __init__(self, matches: List[BatchMatch], comparisons: int) -> None:
-        self.matches = matches
-        self.comparisons = comparisons
-
-    def __len__(self) -> int:
-        return len(self.matches)
-
-    def __iter__(self):
-        return iter(self.matches)
-
-
 def _check_offsets(candidate_keys: Sequence[int], offsets: Sequence[int]) -> None:
     if len(offsets) == 0 or offsets[0] != 0 or offsets[-1] != len(candidate_keys):
         raise ValueError(
@@ -224,46 +181,10 @@ def _check_offsets(candidate_keys: Sequence[int], offsets: Sequence[int]) -> Non
         )
 
 
-def _batch_via_scalar(
-    kernel: Callable[..., IntersectionResult],
-    candidate_keys: Sequence[int],
-    offsets: Sequence[int],
-    adjacency_keys: Sequence[int],
-) -> BatchIntersectionResult:
-    """Reference batch implementation: one scalar kernel call per segment.
-
-    Doubles as the small-input fast path of the vectorized kernels: for tiny
-    batches a plain Python merge beats the fixed per-call cost of the NumPy
-    pipeline, and being the scalar reference it is contract-exact (identical
-    matches and comparison counts) by construction.
-    """
-    _check_offsets(candidate_keys, offsets)
-    matches: List[BatchMatch] = []
-    comparisons = 0
-    cand_list = (
-        candidate_keys.tolist()
-        if hasattr(candidate_keys, "tolist")
-        else list(candidate_keys)
-    )
-    adjacency = (
-        adjacency_keys.tolist()
-        if hasattr(adjacency_keys, "tolist")
-        else list(adjacency_keys)
-    )
-    for seg in range(len(offsets) - 1):
-        lo, hi = int(offsets[seg]), int(offsets[seg + 1])
-        result = kernel(cand_list[lo:hi], adjacency, _identity, _identity)
-        comparisons += result.comparisons
-        for cand_idx, adj_idx in result.matches:
-            matches.append((seg, cand_idx, adj_idx))
-    return BatchIntersectionResult(matches, comparisons)
-
-
-#: Below this many total keys (candidates + adjacency) the vectorized batch
-#: kernels route through :func:`_batch_via_scalar` — the fixed overhead of a
-#: dozen NumPy calls exceeds a short Python merge, and small groups dominate
-#: exactly the workloads (many distinct low-degree targets) where batching
-#: wins the least.
+#: Below this many candidate keys (and at most
+#: :data:`_SCALAR_ROW_SEGMENT_CUTOFF` segments) the vectorized row kernels
+#: route through :func:`_rows_via_scalar` — the fixed overhead of a dozen
+#: NumPy calls exceeds a short Python merge.
 _SCALAR_BATCH_CUTOFF = 96
 
 #: The row kernels additionally require at most this many segments before
@@ -278,162 +199,18 @@ def _identity(value: Any) -> Any:
     return value
 
 
-def _segment_sums(mask: "Any", offsets: "Any") -> "Any":
-    """Per-segment sums of a boolean/int array, robust to empty segments."""
-    csum = _np.concatenate(([0], _np.cumsum(mask)))
-    return csum[offsets[1:]] - csum[offsets[:-1]]
-
-
-def _vector_matches(cand, offsets, adj):
-    """Shared searchsorted match-finding for the vectorized batch kernels.
-
-    Returns ``(matches, valid_mask)`` where ``valid_mask`` marks, per
-    concatenated candidate position, whether it matched.  Requires the
-    adjacency keys to be sorted and duplicate-free (guaranteed by the ``<+``
-    total order) and each candidate segment to be sorted.
-    """
-    n_adj = adj.size
-    if cand.size == 0 or n_adj == 0:
-        return [], _np.zeros(cand.size, dtype=bool)
-    pos = _np.searchsorted(adj, cand)
-    clipped = _np.minimum(pos, n_adj - 1)
-    valid = (pos < n_adj) & (adj[clipped] == cand)
-    hits = _np.nonzero(valid)[0]
-    segments = _np.searchsorted(offsets, hits, side="right") - 1
-    cand_indices = hits - offsets[segments]
-    adj_indices = pos[hits]
-    matches = list(
-        zip(segments.tolist(), cand_indices.tolist(), adj_indices.tolist())
-    )
-    return matches, valid
-
-
-def merge_path_batch(
-    candidate_keys: Sequence[int],
-    offsets: Sequence[int],
-    adjacency_keys: Sequence[int],
-) -> BatchIntersectionResult:
-    """Intersect every candidate segment against one adjacency, merge-path cost.
-
-    ``candidate_keys`` is the concatenation of per-wedge candidate key
-    arrays; segment ``s`` occupies ``candidate_keys[offsets[s]:offsets[s+1]]``
-    and must be sorted.  ``adjacency_keys`` is the shared sorted adjacency.
-    Keys must be integers drawn from a total order in which equality implies
-    vertex identity (the dense ``<+`` order ids of
-    :class:`~repro.graph.dodgr.CSRAdjacency`).
-
-    The comparison count replays what :func:`merge_path_intersection` would
-    have charged per segment without walking the merge: each scalar merge
-    performs ``consumed - matches`` comparisons, where ``consumed`` counts
-    elements taken from either list before one side is exhausted — a
-    closed form over searchsorted ranks.
-    """
-    if _np is None or len(candidate_keys) + len(adjacency_keys) <= _SCALAR_BATCH_CUTOFF:
-        return _batch_via_scalar(
-            merge_path_intersection, candidate_keys, offsets, adjacency_keys
-        )
-    cand = _np.asarray(candidate_keys, dtype=_np.int64)
-    offs = _np.asarray(offsets, dtype=_np.int64)
-    adj = _np.asarray(adjacency_keys, dtype=_np.int64)
-    _check_offsets(cand, offs)
-    matches, valid = _vector_matches(cand, offs, adj)
-    n_adj = adj.size
-    if cand.size == 0 or n_adj == 0:
-        return BatchIntersectionResult(matches, 0)
-
-    lengths = offs[1:] - offs[:-1]
-    nonempty = lengths > 0
-    matches_per_seg = _segment_sums(valid, offs)
-
-    # Last candidate key per segment (dummy index 0 for empty segments).
-    last_key = cand[_np.where(nonempty, offs[1:] - 1, 0)]
-    adj_last = int(adj[-1])
-
-    # Candidates exhaust first (last_key < adj_last): every candidate is
-    # consumed, plus the adjacency prefix up to (and including, on a match)
-    # the last candidate key.
-    rank_of_last = _np.searchsorted(adj, last_key, side="left")
-    last_in_adj = (rank_of_last < n_adj) & (
-        adj[_np.minimum(rank_of_last, n_adj - 1)] == last_key
-    )
-    consumed_cand_side = lengths + rank_of_last + last_in_adj
-
-    # Adjacency exhausts first (last_key > adj_last): the whole adjacency is
-    # consumed, plus each segment's prefix up to the last adjacency key
-    # (candidates <= adj_last, counted with one fused segment sum).
-    consumed_adj_side = n_adj + _segment_sums(cand <= adj_last, offs)
-
-    consumed = _np.where(
-        last_key < adj_last,
-        consumed_cand_side,
-        _np.where(last_key == adj_last, lengths + n_adj, consumed_adj_side),
-    )
-    per_segment = _np.where(nonempty, consumed - matches_per_seg, 0)
-    return BatchIntersectionResult(matches, int(per_segment.sum()))
-
-
-def hash_batch(
-    candidate_keys: Sequence[int],
-    offsets: Sequence[int],
-    adjacency_keys: Sequence[int],
-) -> BatchIntersectionResult:
-    """Batched counterpart of :func:`hash_intersection`.
-
-    Same inputs/outputs as :func:`merge_path_batch`; the comparison count
-    models the scalar kernel rebuilding its hash table once per segment:
-    ``segments * len(adjacency) + len(candidate_keys)``.
-    """
-    if _np is None or len(candidate_keys) + len(adjacency_keys) <= _SCALAR_BATCH_CUTOFF:
-        return _batch_via_scalar(
-            hash_intersection, candidate_keys, offsets, adjacency_keys
-        )
-    cand = _np.asarray(candidate_keys, dtype=_np.int64)
-    offs = _np.asarray(offsets, dtype=_np.int64)
-    adj = _np.asarray(adjacency_keys, dtype=_np.int64)
-    _check_offsets(cand, offs)
-    matches, _valid = _vector_matches(cand, offs, adj)
-    comparisons = (len(offs) - 1) * int(adj.size) + int(cand.size)
-    return BatchIntersectionResult(matches, comparisons)
-
-
-def binary_search_batch(
-    candidate_keys: Sequence[int],
-    offsets: Sequence[int],
-    adjacency_keys: Sequence[int],
-) -> BatchIntersectionResult:
-    """Batched binary-search intersection (scalar loop; kept for the ablation).
-
-    Binary search probes are already O(log) each, so there is little to gain
-    from vectorizing; this wrapper exists so every scalar kernel has a
-    batch-shaped counterpart with aggregate-exact comparison counts.
-    """
-    return _batch_via_scalar(
-        binary_search_intersection, candidate_keys, offsets, adjacency_keys
-    )
-
-
-#: Batch-shaped kernels keyed by the same names as :data:`INTERSECTION_KERNELS`.
-BATCH_KERNELS = {
-    "merge_path": merge_path_batch,
-    "binary_search": binary_search_batch,
-    "hash": hash_batch,
-}
-
-
 # ---------------------------------------------------------------------------
 # Row-batch kernels (columnar engine)
 # ---------------------------------------------------------------------------
 #
-# The batch kernels above intersect many segments against ONE shared
-# adjacency (all wedges targeting the same vertex q).  The columnar survey
-# engine coalesces one level higher — one RPC per (source rank, destination
-# rank) pair — so a single call must intersect segments against *different*
+# The columnar survey engine coalesces one RPC per (source rank, destination
+# rank) pair, so a single call must intersect segments against *different*
 # adjacency rows of one CSR.  The row kernels do that in one vectorized pass
 # using composite keys: a CSR whose rows are each sorted by target order-id
 # yields a globally sorted array under ``edge_row * order_count + tgt_id``,
 # so one ``searchsorted`` of per-candidate composite keys finds every match
 # against every row at once.  Per segment they produce exactly the matches
-# and comparison counts the scalar kernels would, like the batch kernels.
+# and comparison counts the scalar kernels would.
 
 
 class RowAdjacency:
@@ -442,8 +219,8 @@ class RowAdjacency:
     ``keys`` is the full edge-major target order-id array (each row's slice
     sorted ascending), ``indptr`` the row offsets, ``order_count`` the number
     of dense ``<+`` order ids (the composite-key stride).  ``composite`` —
-    ``row_of_edge * order_count + key`` — is built lazily and only when NumPy
-    is available; the scalar fallback path never needs it.
+    ``row_of_edge * order_count + key`` — is built lazily; the scalar
+    small-input path never needs it.
     """
 
     __slots__ = ("keys", "indptr", "order_count", "_composite")
@@ -456,13 +233,13 @@ class RowAdjacency:
 
     def composite(self):
         if self._composite is None:
-            indptr = _np.asarray(self.indptr, dtype=_np.int64)
+            indptr = np.asarray(self.indptr, dtype=np.int64)
             lengths = indptr[1:] - indptr[:-1]
-            edge_rows = _np.repeat(
-                _np.arange(lengths.size, dtype=_np.int64), lengths
+            edge_rows = np.repeat(
+                np.arange(lengths.size, dtype=np.int64), lengths
             )
-            self._composite = edge_rows * _np.int64(self.order_count) + _np.asarray(
-                self.keys, dtype=_np.int64
+            self._composite = edge_rows * np.int64(self.order_count) + np.asarray(
+                self.keys, dtype=np.int64
             )
         return self._composite
 
@@ -474,7 +251,7 @@ class RowBatchResult:
     """Matches plus the aggregate comparison count of one row-batch call.
 
     ``seg``/``cand_pos``/``adj_pos`` are parallel index arrays (or lists in
-    the scalar fallback): match ``i`` is segment ``seg[i]``'s candidate at
+    the scalar small-input path): match ``i`` is segment ``seg[i]``'s candidate at
     *flat* position ``cand_pos[i]`` of the concatenated candidate array,
     matching the adjacency entry at *global* edge position ``adj_pos[i]`` of
     the :class:`RowAdjacency`.  Ascending segment order, ascending candidate
@@ -536,16 +313,16 @@ def _row_matches(cand, offs, rows, adjacency: RowAdjacency):
     matched (ascending — segment order, candidate order within a segment).
     """
     lengths = offs[1:] - offs[:-1]
-    seg_of_cand = _np.repeat(_np.arange(offs.size - 1, dtype=_np.int64), lengths)
+    seg_of_cand = np.repeat(np.arange(offs.size - 1, dtype=np.int64), lengths)
     composite = adjacency.composite()
-    cand_comp = rows[seg_of_cand] * _np.int64(adjacency.order_count) + cand
-    pos = _np.searchsorted(composite, cand_comp)
+    cand_comp = rows[seg_of_cand] * np.int64(adjacency.order_count) + cand
+    pos = np.searchsorted(composite, cand_comp)
     if composite.size:
-        clipped = _np.minimum(pos, composite.size - 1)
+        clipped = np.minimum(pos, composite.size - 1)
         valid = (pos < composite.size) & (composite[clipped] == cand_comp)
     else:
-        valid = _np.zeros(cand.size, dtype=bool)
-    return seg_of_cand, pos, _np.nonzero(valid)[0]
+        valid = np.zeros(cand.size, dtype=bool)
+    return seg_of_cand, pos, np.nonzero(valid)[0]
 
 
 def merge_path_rows(
@@ -556,29 +333,37 @@ def merge_path_rows(
 ) -> RowBatchResult:
     """Intersect segment ``s`` against adjacency row ``seg_rows[s]``, merge cost.
 
-    Same contract as :func:`merge_path_batch` generalised to per-segment
-    adjacency rows: matches and the aggregate comparison count are exactly
-    what one :func:`merge_path_intersection` call per segment (against its
-    row slice) would produce.
+    ``candidate_keys`` is the concatenation of per-wedge candidate key
+    arrays; segment ``s`` occupies ``candidate_keys[offsets[s]:offsets[s+1]]``
+    and must be sorted.  Keys must be integers drawn from a total order in
+    which equality implies vertex identity (the dense ``<+`` order ids of
+    :class:`~repro.graph.dodgr.CSRAdjacency`).  Matches and the aggregate
+    comparison count are exactly what one :func:`merge_path_intersection`
+    call per segment (against its row slice) would produce.
+
+    The comparison count is replayed without walking the merge: each scalar
+    merge performs ``consumed - matches`` comparisons, where ``consumed``
+    counts elements taken from either list before one side is exhausted — a
+    closed form over searchsorted ranks.
     """
-    if _np is None or (
+    if (
         len(candidate_keys) <= _SCALAR_BATCH_CUTOFF
         and len(offsets) - 1 <= _SCALAR_ROW_SEGMENT_CUTOFF
     ):
         return _rows_via_scalar(
             merge_path_intersection, candidate_keys, offsets, seg_rows, adjacency
         )
-    cand = _np.asarray(candidate_keys, dtype=_np.int64)
-    offs = _np.asarray(offsets, dtype=_np.int64)
-    rows = _np.asarray(seg_rows, dtype=_np.int64)
+    cand = np.asarray(candidate_keys, dtype=np.int64)
+    offs = np.asarray(offsets, dtype=np.int64)
+    rows = np.asarray(seg_rows, dtype=np.int64)
     _check_offsets(cand, offs)
-    indptr = _np.asarray(adjacency.indptr, dtype=_np.int64)
-    keys = _np.asarray(adjacency.keys, dtype=_np.int64)
-    stride = _np.int64(adjacency.order_count)
+    indptr = np.asarray(adjacency.indptr, dtype=np.int64)
+    keys = np.asarray(adjacency.keys, dtype=np.int64)
+    stride = np.int64(adjacency.order_count)
     composite = adjacency.composite()
     if cand.size == 0 or composite.size == 0:
         # A merge against an empty side performs no comparisons.
-        empty = _np.empty(0, dtype=_np.int64)
+        empty = np.empty(0, dtype=np.int64)
         return RowBatchResult(empty, empty, empty, 0)
 
     n_seg = offs.size - 1
@@ -588,16 +373,16 @@ def merge_path_rows(
 
     seg_of_cand, pos, hits = _row_matches(cand, offs, rows, adjacency)
     seg_hits = seg_of_cand[hits]
-    matches_per_seg = _np.bincount(seg_hits, minlength=n_seg)
+    matches_per_seg = np.bincount(seg_hits, minlength=n_seg)
 
-    # Comparison replay (the merge_path_batch closed form, per-row bounds).
+    # Comparison replay: the closed form above, with per-row bounds.
     nonempty = (lengths > 0) & (adj_len > 0)
-    last_key = cand[_np.where(lengths > 0, offs[1:] - 1, 0)]
-    adj_last = keys[_np.where(adj_len > 0, adj_lo + adj_len - 1, 0)]
+    last_key = cand[np.where(lengths > 0, offs[1:] - 1, 0)]
+    adj_last = keys[np.where(adj_len > 0, adj_lo + adj_len - 1, 0)]
     last_comp = rows * stride + last_key
-    rank_pos = _np.searchsorted(composite, last_comp, side="left")
+    rank_pos = np.searchsorted(composite, last_comp, side="left")
     rank_of_last = rank_pos - adj_lo
-    rank_clipped = _np.minimum(rank_pos, composite.size - 1)
+    rank_clipped = np.minimum(rank_pos, composite.size - 1)
     last_in_adj = (rank_of_last < adj_len) & (composite[rank_clipped] == last_comp)
     consumed_cand_side = lengths + rank_of_last + last_in_adj
 
@@ -605,19 +390,19 @@ def merge_path_rows(
     # segment-composite trick (segments are concatenated in ascending order).
     seg_comp = seg_of_cand * stride + cand
     below = (
-        _np.searchsorted(
-            seg_comp, _np.arange(n_seg, dtype=_np.int64) * stride + adj_last, side="right"
+        np.searchsorted(
+            seg_comp, np.arange(n_seg, dtype=np.int64) * stride + adj_last, side="right"
         )
         - offs[:-1]
     )
     consumed_adj_side = adj_len + below
 
-    consumed = _np.where(
+    consumed = np.where(
         last_key < adj_last,
         consumed_cand_side,
-        _np.where(last_key == adj_last, lengths + adj_len, consumed_adj_side),
+        np.where(last_key == adj_last, lengths + adj_len, consumed_adj_side),
     )
-    per_segment = _np.where(nonempty, consumed - matches_per_seg, 0)
+    per_segment = np.where(nonempty, consumed - matches_per_seg, 0)
     return RowBatchResult(seg_hits, hits, pos[hits], int(per_segment.sum()))
 
 
@@ -632,18 +417,18 @@ def hash_rows(
     The comparison count models one table build per segment over its row:
     ``sum(row lengths) + len(candidate_keys)``.
     """
-    if _np is None or (
+    if (
         len(candidate_keys) <= _SCALAR_BATCH_CUTOFF
         and len(offsets) - 1 <= _SCALAR_ROW_SEGMENT_CUTOFF
     ):
         return _rows_via_scalar(
             hash_intersection, candidate_keys, offsets, seg_rows, adjacency
         )
-    cand = _np.asarray(candidate_keys, dtype=_np.int64)
-    offs = _np.asarray(offsets, dtype=_np.int64)
-    rows = _np.asarray(seg_rows, dtype=_np.int64)
+    cand = np.asarray(candidate_keys, dtype=np.int64)
+    offs = np.asarray(offsets, dtype=np.int64)
+    rows = np.asarray(seg_rows, dtype=np.int64)
     _check_offsets(cand, offs)
-    indptr = _np.asarray(adjacency.indptr, dtype=_np.int64)
+    indptr = np.asarray(adjacency.indptr, dtype=np.int64)
     seg_of_cand, pos, hits = _row_matches(cand, offs, rows, adjacency)
     adj_len = indptr[rows + 1] - indptr[rows]
     comparisons = int(adj_len.sum()) + int(cand.size)
@@ -674,16 +459,15 @@ ROW_KERNELS = {
 # Kernel tiers
 # ---------------------------------------------------------------------------
 #
-# The batch/row kernels above are the *columnar* tier: NumPy array pipelines
-# with a scalar small-input escape hatch.  Two more tiers share their exact
+# The row kernels above are the *columnar* tier: NumPy array pipelines with
+# a scalar small-input escape hatch.  Two more tiers share their exact
 # contract (identical matches, identical aggregate comparison counts):
 #
-# * ``scalar``   — the reference loops (:func:`_batch_via_scalar` /
-#   :func:`_rows_via_scalar`) applied unconditionally; always available.
+# * ``scalar``   — the reference loop (:func:`_rows_via_scalar`) applied
+#   unconditionally; always available.
 # * ``compiled`` — numba-jitted merge loops (:mod:`.intersection_compiled`),
 #   registered only when numba imports; requesting it without numba follows
-#   the declared fallback chain ``compiled -> columnar -> scalar`` silently,
-#   the same way engines downgrade when NumPy is missing.
+#   the declared fallback chain ``compiled -> columnar -> scalar`` silently.
 #
 # Tier selection travels as ``kernel_tier`` on
 # :class:`~repro.core.engine.request.EngineConfig`/``SurveyRequest`` and is
@@ -697,16 +481,6 @@ KERNEL_TIERS = ("compiled", "columnar", "scalar")
 KERNEL_TIER_FALLBACK = {"compiled": "columnar", "columnar": "scalar", "scalar": None}
 
 
-def _scalar_tier_batch(name: str):
-    scalar = INTERSECTION_KERNELS[name]
-
-    def batch_kernel_scalar(candidate_keys, offsets, adjacency_keys):
-        return _batch_via_scalar(scalar, candidate_keys, offsets, adjacency_keys)
-
-    batch_kernel_scalar.__name__ = f"{name}_batch_scalar"
-    return batch_kernel_scalar
-
-
 def _scalar_tier_rows(name: str):
     scalar = INTERSECTION_KERNELS[name]
 
@@ -717,14 +491,8 @@ def _scalar_tier_rows(name: str):
     return row_kernel_scalar
 
 
-#: Tier -> {kernel name -> batch kernel}.  The ``compiled`` entry is added at
+#: Tier -> {kernel name -> row kernel}.  The ``compiled`` entry is added at
 #: the bottom of this module when numba is importable.
-BATCH_KERNEL_TIERS = {
-    "columnar": BATCH_KERNELS,
-    "scalar": {name: _scalar_tier_batch(name) for name in INTERSECTION_KERNELS},
-}
-
-#: Tier -> {kernel name -> row kernel}; same shape as BATCH_KERNEL_TIERS.
 ROW_KERNEL_TIERS = {
     "columnar": ROW_KERNELS,
     "scalar": {name: _scalar_tier_rows(name) for name in INTERSECTION_KERNELS},
@@ -734,9 +502,8 @@ ROW_KERNEL_TIERS = {
 def available_kernel_tiers() -> Tuple[str, ...]:
     """The tiers usable in this environment, in preference order.
 
-    ``columnar`` and ``scalar`` are always listed (the columnar kernels
-    degrade to the scalar loops internally when NumPy is missing);
-    ``compiled`` appears only when numba imported at module load.
+    ``columnar`` and ``scalar`` are always listed; ``compiled`` appears
+    only when numba imported at module load.
     """
     return tuple(tier for tier in KERNEL_TIERS if tier in ROW_KERNEL_TIERS)
 
@@ -751,7 +518,7 @@ def resolve_kernel_tier(tier: Optional[str] = None) -> str:
     the cross-tier property suite pins the contract).
     """
     if tier is None or tier == "auto":
-        return "columnar" if _np is not None else "scalar"
+        return "columnar"
     if tier not in KERNEL_TIERS:
         raise ValueError(
             f"unknown kernel tier {tier!r}; known: {KERNEL_TIERS}"
@@ -762,23 +529,14 @@ def resolve_kernel_tier(tier: Optional[str] = None) -> str:
     return tier if tier is not None else "scalar"
 
 
-def batch_kernel(name: str, tier: Optional[str] = None):
-    """The batch-shaped kernel ``name`` at (resolved) ``tier``."""
-    return BATCH_KERNEL_TIERS[resolve_kernel_tier(tier)][name]
-
-
 def row_kernel(name: str, tier: Optional[str] = None):
     """The row-batch kernel ``name`` at (resolved) ``tier``."""
     return ROW_KERNEL_TIERS[resolve_kernel_tier(tier)][name]
 
 
 # Import last: intersection_compiled imports this module's result classes,
-# and registers its kernels into the tier tables only when numba is present.
-# (The compiled tier sits on top of NumPy arrays, so it is skipped entirely
-# when NumPy itself is unavailable.)
-if _np is not None:
-    from . import intersection_compiled as _compiled  # noqa: E402
+# and its kernels join the tier table only when numba is present.
+from . import intersection_compiled as _compiled  # noqa: E402
 
-    if _compiled.NUMBA_AVAILABLE:  # pragma: no cover - requires a numba install
-        BATCH_KERNEL_TIERS["compiled"] = _compiled.COMPILED_BATCH_KERNELS
-        ROW_KERNEL_TIERS["compiled"] = _compiled.COMPILED_ROW_KERNELS
+if _compiled.NUMBA_AVAILABLE:  # pragma: no cover - requires a numba install
+    ROW_KERNEL_TIERS["compiled"] = _compiled.COMPILED_ROW_KERNELS

@@ -1,7 +1,7 @@
-"""Compiled kernel tier: numba-jitted batch/row intersection loops.
+"""Compiled kernel tier: numba-jitted row intersection loops.
 
-The columnar tier (:mod:`repro.core.intersection`) vectorizes the batch and
-row kernels as NumPy array pipelines; their comparison counts are *replayed*
+The columnar tier (:mod:`repro.core.intersection`) vectorizes the row
+kernels as NumPy array pipelines; their comparison counts are *replayed*
 through closed forms over searchsorted ranks.  This module provides the
 third tier: the scalar reference loops themselves, written in the restricted
 nopython subset of Python and wrapped with ``numba.njit`` when numba is
@@ -18,23 +18,17 @@ loops remain directly callable either way, which is what lets the cross-tier
 property suite pin the contract even on machines without the wheel.
 
 The kernels receive and return exactly what the columnar tier does
-(:class:`~repro.core.intersection.BatchIntersectionResult` /
-:class:`~repro.core.intersection.RowBatchResult`), so the engine drivers are
-tier-agnostic.
+(:class:`~repro.core.intersection.RowBatchResult`), so the engine drivers
+are tier-agnostic.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-import numpy as _np
+import numpy as np
 
-from .intersection import (
-    BatchIntersectionResult,
-    RowAdjacency,
-    RowBatchResult,
-    _check_offsets,
-)
+from .intersection import RowAdjacency, RowBatchResult, _check_offsets
 
 try:  # The jit is optional; the loops below run unjitted without it.
     import numba as _numba
@@ -43,13 +37,9 @@ except ImportError:
 
 __all__ = [
     "NUMBA_AVAILABLE",
-    "merge_path_batch_compiled",
-    "binary_search_batch_compiled",
-    "hash_batch_compiled",
     "merge_path_rows_compiled",
     "binary_search_rows_compiled",
     "hash_rows_compiled",
-    "COMPILED_BATCH_KERNELS",
     "COMPILED_ROW_KERNELS",
 ]
 
@@ -65,88 +55,6 @@ NUMBA_AVAILABLE = _numba is not None
 # (at most one match per candidate, so ``len(cand)`` slots always suffice)
 # and returns ``(match_count, comparisons)``.  Comparison counting follows
 # the scalar kernels of intersection.py line for line.
-
-
-def _merge_batch_loop(cand, offs, adj, out_seg, out_cand, out_adj):
-    m = 0
-    comparisons = 0
-    n_adj = adj.shape[0]
-    for seg in range(offs.shape[0] - 1):
-        i = offs[seg]
-        hi = offs[seg + 1]
-        j = 0
-        while i < hi and j < n_adj:
-            comparisons += 1
-            ck = cand[i]
-            ak = adj[j]
-            if ck == ak:
-                out_seg[m] = seg
-                out_cand[m] = i - offs[seg]
-                out_adj[m] = j
-                m += 1
-                i += 1
-                j += 1
-            elif ck < ak:
-                i += 1
-            else:
-                j += 1
-    return m, comparisons
-
-
-def _binary_batch_loop(cand, offs, adj, out_seg, out_cand, out_adj):
-    m = 0
-    comparisons = 0
-    n_adj = adj.shape[0]
-    for seg in range(offs.shape[0] - 1):
-        for i in range(offs[seg], offs[seg + 1]):
-            ck = cand[i]
-            lo = 0
-            hi = n_adj
-            while lo < hi:
-                comparisons += 1
-                mid = (lo + hi) // 2
-                if adj[mid] < ck:
-                    lo = mid + 1
-                else:
-                    hi = mid
-            if lo < n_adj:
-                comparisons += 1
-                if adj[lo] == ck:
-                    out_seg[m] = seg
-                    out_cand[m] = i - offs[seg]
-                    out_adj[m] = lo
-                    m += 1
-    return m, comparisons
-
-
-def _hash_batch_loop(cand, offs, adj, out_seg, out_cand, out_adj):
-    # Matches via the merge walk (the inputs are sorted and duplicate-free,
-    # so the matched set — and its ascending order — is identical to the
-    # hash probe's); comparisons follow the scalar hash model: one table
-    # build per segment over the shared adjacency, one probe per candidate.
-    m = 0
-    n_adj = adj.shape[0]
-    n_seg = offs.shape[0] - 1
-    for seg in range(n_seg):
-        i = offs[seg]
-        hi = offs[seg + 1]
-        j = 0
-        while i < hi and j < n_adj:
-            ck = cand[i]
-            ak = adj[j]
-            if ck == ak:
-                out_seg[m] = seg
-                out_cand[m] = i - offs[seg]
-                out_adj[m] = j
-                m += 1
-                i += 1
-                j += 1
-            elif ck < ak:
-                i += 1
-            else:
-                j += 1
-    comparisons = n_seg * n_adj + cand.shape[0]
-    return m, comparisons
 
 
 def _merge_rows_loop(cand, offs, seg_rows, keys, indptr, out_seg, out_cand, out_adj):
@@ -233,9 +141,6 @@ def _hash_rows_loop(cand, offs, seg_rows, keys, indptr, out_seg, out_cand, out_a
 
 if NUMBA_AVAILABLE:  # pragma: no cover - requires a numba install
     _jit = _numba.njit(cache=True, nogil=True)
-    _merge_batch_loop = _jit(_merge_batch_loop)
-    _binary_batch_loop = _jit(_binary_batch_loop)
-    _hash_batch_loop = _jit(_hash_batch_loop)
     _merge_rows_loop = _jit(_merge_rows_loop)
     _binary_rows_loop = _jit(_binary_rows_loop)
     _hash_rows_loop = _jit(_hash_rows_loop)
@@ -246,25 +151,10 @@ if NUMBA_AVAILABLE:  # pragma: no cover - requires a numba install
 # ---------------------------------------------------------------------------
 
 
-def _as_i64(values) -> "_np.ndarray":
+def _as_i64(values) -> "np.ndarray":
     # np.asarray strips ndarray subclasses (memmap columns of an
     # out-of-core CSR become plain views), which is what the jit wants.
-    return _np.asarray(values, dtype=_np.int64)
-
-
-def _run_batch(loop, candidate_keys, offsets, adjacency_keys) -> BatchIntersectionResult:
-    cand = _as_i64(candidate_keys)
-    offs = _as_i64(offsets)
-    adj = _as_i64(adjacency_keys)
-    _check_offsets(cand, offs)
-    out_seg = _np.empty(cand.size, dtype=_np.int64)
-    out_cand = _np.empty(cand.size, dtype=_np.int64)
-    out_adj = _np.empty(cand.size, dtype=_np.int64)
-    m, comparisons = loop(cand, offs, adj, out_seg, out_cand, out_adj)
-    matches = list(
-        zip(out_seg[:m].tolist(), out_cand[:m].tolist(), out_adj[:m].tolist())
-    )
-    return BatchIntersectionResult(matches, int(comparisons))
+    return np.asarray(values, dtype=np.int64)
 
 
 def _run_rows(
@@ -276,38 +166,11 @@ def _run_rows(
     _check_offsets(cand, offs)
     keys = _as_i64(adjacency.keys)
     indptr = _as_i64(adjacency.indptr)
-    out_seg = _np.empty(cand.size, dtype=_np.int64)
-    out_cand = _np.empty(cand.size, dtype=_np.int64)
-    out_adj = _np.empty(cand.size, dtype=_np.int64)
+    out_seg = np.empty(cand.size, dtype=np.int64)
+    out_cand = np.empty(cand.size, dtype=np.int64)
+    out_adj = np.empty(cand.size, dtype=np.int64)
     m, comparisons = loop(cand, offs, rows, keys, indptr, out_seg, out_cand, out_adj)
     return RowBatchResult(out_seg[:m], out_cand[:m], out_adj[:m], int(comparisons))
-
-
-def merge_path_batch_compiled(
-    candidate_keys: Sequence[int],
-    offsets: Sequence[int],
-    adjacency_keys: Sequence[int],
-) -> BatchIntersectionResult:
-    """Compiled-tier :func:`~repro.core.intersection.merge_path_batch`."""
-    return _run_batch(_merge_batch_loop, candidate_keys, offsets, adjacency_keys)
-
-
-def binary_search_batch_compiled(
-    candidate_keys: Sequence[int],
-    offsets: Sequence[int],
-    adjacency_keys: Sequence[int],
-) -> BatchIntersectionResult:
-    """Compiled-tier :func:`~repro.core.intersection.binary_search_batch`."""
-    return _run_batch(_binary_batch_loop, candidate_keys, offsets, adjacency_keys)
-
-
-def hash_batch_compiled(
-    candidate_keys: Sequence[int],
-    offsets: Sequence[int],
-    adjacency_keys: Sequence[int],
-) -> BatchIntersectionResult:
-    """Compiled-tier :func:`~repro.core.intersection.hash_batch`."""
-    return _run_batch(_hash_batch_loop, candidate_keys, offsets, adjacency_keys)
 
 
 def merge_path_rows_compiled(
@@ -343,12 +206,6 @@ def hash_rows_compiled(
 #: Compiled-tier kernels, keyed like INTERSECTION_KERNELS.  Registered into
 #: the tier tables by intersection.py only when numba is present; always
 #: importable (and contract-tested) as plain Python.
-COMPILED_BATCH_KERNELS = {
-    "merge_path": merge_path_batch_compiled,
-    "binary_search": binary_search_batch_compiled,
-    "hash": hash_batch_compiled,
-}
-
 COMPILED_ROW_KERNELS = {
     "merge_path": merge_path_rows_compiled,
     "binary_search": binary_search_rows_compiled,

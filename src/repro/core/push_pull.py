@@ -25,10 +25,10 @@ yourself never touch the wire, so pulling them cannot help.
 
 This module is a thin entry point over :mod:`repro.core.engine`: the
 ``engine=`` keyword selects a registered
-:class:`~repro.core.engine.EngineSpec` whose ``proposal_style`` /
-``push_style`` / ``pull_style`` fields pick the strategy of each phase, and
+:class:`~repro.core.engine.EngineSpec` (``columnar``, the default, or
+``legacy``, the scalar oracle), and
 :func:`~repro.core.engine.push_pull.run_push_pull_survey` executes the
-request on the shared driver core.  Every engine keeps the Table 3/Table 4
+request on the shared driver core.  Both engines keep the Table 3/Table 4
 columns byte-identical — each coalesced message is accounted at the exact
 serialized size of the legacy messages it replaces; because dry-run
 handlers reply with advise RPCs, the flush-window *split* of those
@@ -57,7 +57,6 @@ from .engine import (
 )
 from .engine.push_pull import run_push_pull_survey
 from .results import SurveyReport
-from .survey import _handle_deprecated_batched
 
 __all__ = [
     "triangle_survey_push_pull",
@@ -75,7 +74,6 @@ def triangle_survey_push_pull(
     reset_stats: bool = True,
     graph_name: Optional[str] = None,
     callback_compute_units: int = DEFAULT_CALLBACK_COMPUTE_UNITS,
-    batched: Optional[bool] = None,
     engine=None,
     backend: Optional[str] = None,
     workers: Optional[int] = None,
@@ -102,21 +100,16 @@ def triangle_survey_push_pull(
         Abstract compute units charged per identified triangle when a
         callback is supplied (see
         :data:`~repro.core.survey.DEFAULT_CALLBACK_COMPUTE_UNITS`).
-    batched:
-        Deprecated PR 1 selector; ``batched=True`` maps to
-        ``engine="batched"`` with a ``DeprecationWarning``.  Use ``engine=``.
     engine:
         Engine selector (name, :class:`~repro.core.engine.EngineSpec` or
-        :class:`~repro.core.engine.EngineConfig`).  ``"batched"`` coalesces
-        the dry run into one RPC per (source, dest) rank pair, the push
-        phase per (destination rank, q), and intersects each pull delivery
-        in one batch-kernel call; ``"columnar"`` additionally vectorizes
-        the push driver, delivers triangles as
+        :class:`~repro.core.engine.EngineConfig`).  ``"columnar"`` (the
+        default) coalesces the dry run into one RPC per (source, dest) rank
+        pair, vectorizes the push driver, delivers triangles as
         :class:`~repro.graph.metadata.TriangleBatch` columns, and coalesces
         the pull phase into one RPC per (owner, requester) pair;
-        ``"columnar-pull"`` composes the batched push phases with the
-        columnar pull phase.  All engines keep every communication total
-        byte-identical (see the module docstring).
+        ``"legacy"`` is the scalar per-message oracle.  Both engines keep
+        every communication total byte-identical (see the module
+        docstring).
 
     backend:
         Execution backend: ``"simulated"`` (default) or ``"process"``
@@ -142,7 +135,7 @@ def triangle_survey_push_pull(
     engine, kernel, callback_compute_units = split_engine_selector(
         engine, kernel, callback_compute_units
     )
-    spec = resolve_engine(engine, batched=_handle_deprecated_batched(batched))
+    spec = resolve_engine(engine)
     request = SurveyRequest(
         dodgr=dodgr,
         callback=callback,
@@ -169,15 +162,8 @@ def triangle_survey(
 
     Remaining keyword arguments — including the ``engine=`` selector (an
     engine name or an :class:`~repro.core.engine.EngineConfig`) — are
-    forwarded to the chosen survey function.  The deprecated ``batched=``
-    boolean is translated here (warning attributed to the caller, not to
-    this dispatcher) so the one-release back-compat notice reaches user
-    code on every entry path.
+    forwarded to the chosen survey function.
     """
-    if "batched" in kwargs:
-        batched = _handle_deprecated_batched(kwargs.pop("batched"))
-        if kwargs.get("engine") is None:
-            kwargs["engine"] = "batched" if batched else "legacy"
     if algorithm == "push":
         from .survey import triangle_survey_push
 

@@ -20,11 +20,10 @@ Execution engines
 
 This module is a thin entry point over the unified survey-execution layer
 in :mod:`repro.core.engine`: the ``engine=`` keyword selects a registered
-:class:`~repro.core.engine.EngineSpec` (``legacy``, ``batched``,
-``columnar``, ``columnar-pull``, plus anything added through
-:func:`~repro.core.engine.register_engine`), and
+:class:`~repro.core.engine.EngineSpec` (``columnar``, the default, or
+``legacy``, the scalar oracle), and
 :func:`~repro.core.engine.push.run_push_survey` executes the request on the
-shared driver core.  Every engine shares the equivalence contract: same
+shared driver core.  Both engines share the equivalence contract: same
 triangles, same callback invocations, same per-phase counters, and
 byte-identical Table 4 communication accounting (each coalesced message is
 accounted as the exact legacy messages it replaces).  One bound on the
@@ -34,15 +33,10 @@ can land in different flush windows, shifting ``wire_messages`` and the
 per-flush envelope bytes; see :class:`~repro.runtime.world.BatchedCall` for
 why, and ``tests/core/test_batched_survey.py`` for the exact invariants
 pinned in each regime.
-
-The ``batched=`` boolean (PR 1's selector) is deprecated: pass
-``engine="batched"`` instead.  It keeps one release of back-compat, mapping
-to ``engine="batched"``/``engine="legacy"`` with a ``DeprecationWarning``.
 """
 
 from __future__ import annotations
 
-import warnings
 from typing import Optional
 
 from ..graph.dodgr import DODGraph
@@ -71,35 +65,10 @@ __all__ = [
     "resolve_batch_callback",
 ]
 
-#: The built-in survey execution engines, in increasing order of aggregation:
-#: ``legacy`` sends and intersects one wedge at a time, ``batched`` (PR 1)
-#: coalesces pushes per (destination rank, target vertex), ``columnar``
-#: (PR 3) coalesces per (source rank, destination rank) pair and delivers
-#: triangles to reducers as column batches, ``columnar-pull`` composes the
-#: batched push phases with the columnar pull phase.  Snapshot taken at
-#: import; :func:`repro.core.engine.engine_names` is the live registry view.
+#: The survey execution engines: ``legacy`` sends and intersects one wedge
+#: at a time, ``columnar`` coalesces per (source rank, destination rank)
+#: pair and delivers triangles to reducers as column batches.
 SURVEY_ENGINES = engine_names()
-
-
-def _handle_deprecated_batched(batched: Optional[bool]) -> bool:
-    """Map PR 1's ``batched=`` boolean to the engine selector, warning once per
-    call site.  ``None`` (the default) means the keyword was not passed.
-
-    Callers must be exactly one frame below the user (the direct entry
-    points, and the ``triangle_survey`` dispatcher — which translates the
-    flag itself rather than forwarding it — both are): ``stacklevel=3``
-    then attributes the warning to the user's call site, so Python's
-    default filters actually display the one-release back-compat notice.
-    """
-    if batched is None:
-        return False
-    warnings.warn(
-        "the batched= boolean is deprecated; select the engine explicitly "
-        "with engine='batched' (or engine='legacy')",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-    return bool(batched)
 
 
 def triangle_survey_push(
@@ -110,7 +79,6 @@ def triangle_survey_push(
     graph_name: Optional[str] = None,
     phase_name: str = PUSH_PHASE,
     callback_compute_units: int = DEFAULT_CALLBACK_COMPUTE_UNITS,
-    batched: Optional[bool] = None,
     engine=None,
     backend: Optional[str] = None,
     workers: Optional[int] = None,
@@ -140,21 +108,17 @@ def triangle_survey_push(
     callback_compute_units:
         Abstract compute units charged per identified triangle when a
         callback is supplied (see :data:`DEFAULT_CALLBACK_COMPUTE_UNITS`).
-    batched:
-        Deprecated PR 1 selector; ``batched=True`` maps to
-        ``engine="batched"`` with a ``DeprecationWarning``.  Use ``engine=``.
     engine:
-        Engine selector: a registered engine name (``"legacy"`` — the
-        default, ``"batched"``, ``"columnar"``, ``"columnar-pull"``, ...),
-        an :class:`~repro.core.engine.EngineSpec`, or an
+        Engine selector: an engine name (``"columnar"`` — the default — or
+        ``"legacy"``), an :class:`~repro.core.engine.EngineSpec`, or an
         :class:`~repro.core.engine.EngineConfig` (which also pins ``kernel``
-        and ``callback_compute_units``).  Engines whose callbacks define a
+        and ``callback_compute_units``).  Callbacks that define a
         ``callback_batch`` counterpart (see
         :func:`~repro.core.engine.resolve_batch_callback`) receive triangles
-        as :class:`~repro.graph.metadata.TriangleBatch` columns where the
-        engine delivers columnar batches; callbacks without one run
-        unchanged via the scalar fallback.  Every engine shares the
-        equivalence contract described in the module docstring.
+        as :class:`~repro.graph.metadata.TriangleBatch` columns on the
+        columnar engine; callbacks without one run unchanged via the scalar
+        fallback.  Both engines share the equivalence contract described in
+        the module docstring.
     backend:
         Execution backend: ``"simulated"`` (default, the single-process
         oracle) or ``"process"`` (rank-sharded forked workers over shared
@@ -181,7 +145,7 @@ def triangle_survey_push(
     engine, kernel, callback_compute_units = split_engine_selector(
         engine, kernel, callback_compute_units
     )
-    spec = resolve_engine(engine, batched=_handle_deprecated_batched(batched))
+    spec = resolve_engine(engine)
     request = SurveyRequest(
         dodgr=dodgr,
         callback=callback,

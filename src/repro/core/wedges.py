@@ -6,26 +6,22 @@ algorithm's true work measure (Section 5.5 plots ``|W+| / (N * t)``).  These
 helpers compute |W+| and per-rank wedge loads for any DODGr, and the
 equivalent quantities from raw edges for test oracles.
 
-Both drivers are vectorized when NumPy is available: degree columns come
-from one pass over the stores (or, for raw edges, one
-:func:`~repro.graph.degree.order_positions` call to orient every edge), and
-the wedge totals fall out of ``np.bincount`` over those degrees —
-``sum(count_d * C(d, 2))``.  The scalar loops remain as the no-NumPy
-fallback and the parity oracle.
+Both drivers are vectorized: degree columns come from one pass over the
+stores (or, for raw edges, one :func:`~repro.graph.degree.order_positions`
+call to orient every edge), and the wedge totals fall out of
+``np.bincount`` over those degrees — ``sum(count_d * C(d, 2))``.  The
+per-edge :func:`~repro.graph.properties.dodgr_wedge_count` walk remains the
+parity oracle.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Hashable, Iterable, List, Tuple
 
+import numpy as np
+
 from ..graph.degree import order_positions
 from ..graph.dodgr import DODGraph
-from ..graph.properties import dodgr_wedge_count
-
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via the scalar fallbacks
-    _np = None
 
 __all__ = [
     "wedge_count",
@@ -35,12 +31,12 @@ __all__ = [
 ]
 
 
-def _wedges_from_degrees(degrees: "_np.ndarray") -> int:
+def _wedges_from_degrees(degrees: "np.ndarray") -> int:
     """``sum(C(d, 2))`` over an out-degree column via one ``bincount``."""
     if degrees.size == 0:
         return 0
-    histogram = _np.bincount(degrees)
-    d = _np.arange(histogram.size, dtype=_np.int64)
+    histogram = np.bincount(degrees)
+    d = np.arange(histogram.size, dtype=np.int64)
     return int((histogram * (d * (d - 1) // 2)).sum())
 
 
@@ -54,19 +50,12 @@ def per_rank_wedge_counts(dodgr: DODGraph) -> List[int]:
     out: List[int] = []
     for rank in range(dodgr.world.nranks):
         store = dodgr.local_store(rank)
-        if _np is not None:
-            degrees = _np.fromiter(
-                (len(record["adj"]) for record in store.values()),
-                dtype=_np.int64,
-                count=len(store),
-            )
-            out.append(_wedges_from_degrees(degrees))
-            continue
-        total = 0
-        for record in store.values():
-            d_plus = len(record["adj"])
-            total += d_plus * (d_plus - 1) // 2
-        out.append(total)
+        degrees = np.fromiter(
+            (len(record["adj"]) for record in store.values()),
+            dtype=np.int64,
+            count=len(store),
+        )
+        out.append(_wedges_from_degrees(degrees))
     return out
 
 
@@ -80,11 +69,8 @@ def wedge_count_from_edges(
     oriented by one ``<+``-position comparison
     (:func:`~repro.graph.degree.order_positions` replays the exact legacy
     order, ``repr`` tie-breaks included), and |W+| is the ``bincount`` sum
-    over the resulting out-degrees.  Falls back to the per-edge
-    :func:`~repro.graph.properties.dodgr_wedge_count` walk without NumPy.
+    over the resulting out-degrees.
     """
-    if _np is None:
-        return dodgr_wedge_count(edges)
     index_of: Dict[Hashable, int] = {}
     vertices: List[Hashable] = []
     src_idx: List[int] = []
@@ -105,21 +91,21 @@ def wedge_count_from_edges(
         tgt_idx.append(iv)
     if not src_idx:
         return 0
-    src = _np.asarray(src_idx, dtype=_np.int64)
-    tgt = _np.asarray(tgt_idx, dtype=_np.int64)
+    src = np.asarray(src_idx, dtype=np.int64)
+    tgt = np.asarray(tgt_idx, dtype=np.int64)
     # Deduplicate undirected edges on (min, max) index pairs.
     n = len(vertices)
-    lo = _np.minimum(src, tgt)
-    hi = _np.maximum(src, tgt)
-    unique_pairs = _np.unique(lo * n + hi)
+    lo = np.minimum(src, tgt)
+    hi = np.maximum(src, tgt)
+    unique_pairs = np.unique(lo * n + hi)
     lo = unique_pairs // n
     hi = unique_pairs % n
-    degrees = _np.bincount(lo, minlength=n) + _np.bincount(hi, minlength=n)
+    degrees = np.bincount(lo, minlength=n) + np.bincount(hi, minlength=n)
     pos, _order = order_positions(vertices, degrees.tolist())
-    pos = _np.asarray(pos, dtype=_np.int64)
+    pos = np.asarray(pos, dtype=np.int64)
     # Each undirected edge contributes one out-edge at its <+-smaller endpoint.
-    out_src = _np.where(pos[lo] < pos[hi], lo, hi)
-    return _wedges_from_degrees(_np.bincount(out_src, minlength=n))
+    out_src = np.where(pos[lo] < pos[hi], lo, hi)
+    return _wedges_from_degrees(np.bincount(out_src, minlength=n))
 
 
 def work_rate(wedges: int, num_nodes: int, seconds: float) -> float:

@@ -16,12 +16,9 @@ from __future__ import annotations
 
 from typing import Any, Dict, Hashable, Iterable, Mapping, Sequence, Tuple
 
-from ..runtime.world import stable_hash, stable_hash_int_array
+import numpy as np
 
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via the scalar fallback
-    _np = None
+from ..runtime.world import stable_hash, stable_hash_int_array
 
 __all__ = ["order_key", "precedes", "DegreeOrder", "order_positions"]
 
@@ -52,22 +49,13 @@ def order_positions(
     hash collisions between equal-degree vertices; those (vanishingly rare)
     runs are re-sorted scalar-side so the result matches the legacy key on
     adversarial inputs too.
-
-    Without NumPy the fallback is the legacy sort itself, so callers get
-    identical results either way.
     """
     n = len(vertices)
-    if _np is None:
-        order_list = sorted(range(n), key=lambda i: order_key(vertices[i], degrees[i]))
-        pos_list = [0] * n
-        for rank, i in enumerate(order_list):
-            pos_list[i] = rank
-        return pos_list, order_list
-    deg = _np.asarray(degrees, dtype=_np.int64)
+    deg = np.asarray(degrees, dtype=np.int64)
     hashes = None
     if n and all(type(v) is int for v in vertices):
         try:
-            ids = _np.fromiter(vertices, dtype=_np.int64, count=n)
+            ids = np.fromiter(vertices, dtype=np.int64, count=n)
         except OverflowError:  # ids beyond int64: scalar hashing below
             ids = None
         if ids is not None:
@@ -75,10 +63,10 @@ def order_positions(
     if hashes is None:
         # Scalar hashing pass (non-int or huge ids); results are < 2**63 so
         # the columnar sort below still applies.
-        hashes = _np.fromiter(
-            (stable_hash(v) for v in vertices), dtype=_np.int64, count=n
+        hashes = np.fromiter(
+            (stable_hash(v) for v in vertices), dtype=np.int64, count=n
         )
-    order = _np.lexsort((hashes, deg))
+    order = np.lexsort((hashes, deg))
     if n > 1:
         deg_sorted = deg[order]
         hash_sorted = hashes[order]
@@ -98,9 +86,9 @@ def order_positions(
                 run.sort(key=lambda i: repr(vertices[i]))
                 order_list[start : end + 1] = run
                 start = end + 1
-            order = _np.asarray(order_list, dtype=_np.int64)
-    pos = _np.empty(n, dtype=_np.int64)
-    pos[order] = _np.arange(n, dtype=_np.int64)
+            order = np.asarray(order_list, dtype=np.int64)
+    pos = np.empty(n, dtype=np.int64)
+    pos[order] = np.arange(n, dtype=np.int64)
     return pos, order
 
 

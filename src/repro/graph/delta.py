@@ -34,14 +34,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, Hashable, Iterable, List, Optional, Set, Tuple
 
+import numpy as np
+
 from .distributed_graph import DistributedGraph
 from .dodgr import DODGraph
 from .edge_list import canonical_pair, validate_edge_columns
-
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via the scalar fallback
-    _np = None
 
 __all__ = ["DeltaBuffer", "AppliedDelta"]
 
@@ -84,7 +81,7 @@ class AppliedDelta:
         the larger, so the directed form of an accepted pair is fixed by the
         rebuilt order ids; the sorted key array lets any rank test "is this
         directed edge new?" with one vectorized ``isin``/``searchsorted``.
-        Requires NumPy (the scalar engines use :meth:`is_new` instead).
+        The legacy engine uses :meth:`is_new` instead.
         """
         if self._new_keys is None:
             order_ids = self.dodgr.order_ids()
@@ -95,7 +92,7 @@ class AppliedDelta:
                 if a > b:
                     a, b = b, a
                 keys.append(a * stride + b)
-            self._new_keys = _np.asarray(sorted(keys), dtype=_np.int64)
+            self._new_keys = np.asarray(sorted(keys), dtype=np.int64)
         return self._new_keys
 
     def edge_mask(self, rank: int) -> Any:
@@ -105,22 +102,22 @@ class AppliedDelta:
         ``dodgr.csr(rank)`` (the flattened ``Adj^m_+`` arrays); a True entry
         marks a directed edge whose undirected pair arrived in this batch.
         Built with one vectorized ``searchsorted`` over the rank's composite
-        edge keys and cached.  Requires NumPy.
+        edge keys and cached.
         """
         mask = self._masks.get(rank)
         if mask is None:
             csr = self.dodgr.csr(rank)
             cols = csr.columns()
             lengths = cols.indptr[1:] - cols.indptr[:-1]
-            src_order = _np.repeat(cols.row_order_ids, lengths)
-            composite = src_order * _np.int64(self.dodgr.order_count()) + csr.tgt_ids
+            src_order = np.repeat(cols.row_order_ids, lengths)
+            composite = src_order * np.int64(self.dodgr.order_count()) + csr.tgt_ids
             new_keys = self.directed_edge_keys()
             if new_keys.size:
-                pos = _np.searchsorted(new_keys, composite)
-                clipped = _np.minimum(pos, new_keys.size - 1)
+                pos = np.searchsorted(new_keys, composite)
+                clipped = np.minimum(pos, new_keys.size - 1)
                 mask = (pos < new_keys.size) & (new_keys[clipped] == composite)
             else:
-                mask = _np.zeros(composite.size, dtype=bool)
+                mask = np.zeros(composite.size, dtype=bool)
             self._masks[rank] = mask
         return mask
 

@@ -22,15 +22,12 @@ from typing import Any, Callable, Dict, Hashable, Iterable, Iterator, List, Opti
 
 from itertools import repeat
 
+import numpy as np
+
 from ..runtime.world import RankContext, World
 from .columnar import group_slices
 from .edge_list import DistributedEdgeList, canonical_pair, validate_edge_columns
 from .partition import HashPartitioner, Partitioner
-
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via the scalar fallback
-    _np = None
 
 __all__ = ["DistributedGraph"]
 
@@ -187,14 +184,11 @@ class DistributedGraph:
             name=name,
             default_vertex_meta=default_vertex_meta,
         )
-        us_arr = None
-        vs_arr = None
-        if _np is not None:
-            try:
-                us_arr = _np.asarray(us, dtype=_np.int64)
-                vs_arr = _np.asarray(vs, dtype=_np.int64)
-            except OverflowError:  # ids beyond int64: per-edge fallback
-                us_arr = None
+        try:
+            us_arr = np.asarray(us, dtype=np.int64)
+            vs_arr = np.asarray(vs, dtype=np.int64)
+        except OverflowError:  # ids beyond int64: per-edge fallback
+            us_arr = None
         if us_arr is None:
             metas = edge_metas if edge_metas is not None else repeat(edge_meta)
             for u, v, meta in zip(us, vs, metas):
@@ -202,17 +196,17 @@ class DistributedGraph:
         else:
             keep = us_arr != vs_arr
             us_arr, vs_arr = us_arr[keep], vs_arr[keep]
-            edge_index = _np.flatnonzero(keep)
+            edge_index = np.flatnonzero(keep)
             num_edges = len(us_arr)
             if num_edges:
                 # The half-edge stream of from_edges: edge i contributes
                 # (u_i -> v_i) at position 2i and (v_i -> u_i) at 2i + 1.
-                ends = _np.empty(2 * num_edges, dtype=_np.int64)
-                partners = _np.empty(2 * num_edges, dtype=_np.int64)
+                ends = np.empty(2 * num_edges, dtype=np.int64)
+                partners = np.empty(2 * num_edges, dtype=np.int64)
                 ends[0::2], ends[1::2] = us_arr, vs_arr
                 partners[0::2], partners[1::2] = vs_arr, us_arr
                 owners = graph.partitioner.owners_array(ends)
-                order = _np.lexsort((ends, owners))
+                order = np.lexsort((ends, owners))
                 own_sorted_arr = owners[order]
                 vtx_sorted_arr = ends[order]
                 own_sorted = own_sorted_arr.tolist()

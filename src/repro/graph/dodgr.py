@@ -30,13 +30,15 @@ Two views of the same store coexist:
   :class:`CSRAdjacency` snapshots flattening every adjacency list into
   contiguous arrays (neighbour order-ids, owners, serialized-size prefix
   sums, metadata indices), built lazily once construction is finished.  The
-  batched survey engine iterates and intersects over these arrays.
+  columnar survey engine iterates and intersects over these arrays.
 """
 
 from __future__ import annotations
 
 from types import SimpleNamespace
 from typing import Any, Dict, Hashable, Iterator, List, Optional, Tuple
+
+import numpy as np
 
 from ..runtime.serialization import int_size_array, serialized_size
 from ..runtime.world import RankContext, World
@@ -45,11 +47,6 @@ from .degree import order_key, order_positions
 from .distributed_graph import DistributedGraph
 from .ooc import StorageConfig, release_csr_segments, resolve_storage, spill_csr
 from .partition import Partitioner
-
-try:  # NumPy backs the CSR arrays when available; plain lists otherwise.
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via the list fallback
-    _np = None
 
 __all__ = ["DODGraph", "CSRAdjacency", "AdjEntry", "entry_key"]
 
@@ -73,7 +70,7 @@ class CSRAdjacency:
     every per-edge array.  Per-edge data is split into
 
     * ``tgt_ids`` — the target's dense rank in the global ``<+`` order
-      (int64 when NumPy is available).  Rows are sorted ascending, and id
+      (int64).  Rows are sorted ascending, and id
       equality is vertex equality, so batched kernels can intersect rows
       with integer comparisons only;
     * ``tgt_owner`` — precomputed owner rank of each target (partition map
@@ -84,7 +81,7 @@ class CSRAdjacency:
       edge index);
     * exact serialized sizes (``cand_size_cumsum``, ``tgt_wire_sizes``,
       ``row_wire_sizes``) of the fragments a legacy per-wedge push message
-      would carry, so the batched engine can account the byte-identical
+      would carry, so the columnar engine can account the byte-identical
       Table 4 communication volume without serializing each wedge.
 
     The snapshot assumes the store is finished mutating (post
@@ -150,10 +147,7 @@ class CSRAdjacency:
         all_int_targets = all(type(target) is int for target in targets)
         # Exact per-edge wire sizes: the whole candidate column at once when
         # the value types allow it, one serialized_size call per field else.
-        sized = False
-        if _np is not None and entries:
-            sized = self._vector_entry_sizes(entries, targets, all_int_targets)
-        if not sized:
+        if not (entries and self._vector_entry_sizes(entries, targets, all_int_targets)):
             tgt_wire_sizes: List[int] = []
             cand_cumsum: List[int] = [0]
             running = 0
@@ -171,19 +165,16 @@ class CSRAdjacency:
         # Owner ranks: one vectorized partition-map evaluation over the whole
         # target column when ids are integers, scalar lookups otherwise.
         self.tgt_owner = None
-        if partitioner is not None and _np is not None and all_int_targets and entries:
+        if partitioner is not None and all_int_targets and entries:
             try:
-                targets_arr = _np.fromiter(targets, dtype=_np.int64, count=len(targets))
+                targets_arr = np.fromiter(targets, dtype=np.int64, count=len(targets))
             except OverflowError:  # ids beyond int64: scalar fallback
                 targets_arr = None
             if targets_arr is not None:
                 self.tgt_owner = partitioner.owners_array(targets_arr).tolist()
         if self.tgt_owner is None:
             self.tgt_owner = [owner_of(target) for target in targets]
-        if _np is not None:
-            self.tgt_ids = _np.asarray(tgt_ids, dtype=_np.int64)
-        else:
-            self.tgt_ids = tgt_ids
+        self.tgt_ids = np.asarray(tgt_ids, dtype=np.int64)
         self._columns = None
         #: slot for the core engine's cached RowAdjacency view of this CSR
         self.row_adj_cache = None
@@ -210,18 +201,18 @@ class CSRAdjacency:
         first = values[0]
         if first.__class__ is float:
             if all(value.__class__ is float for value in values):
-                return _np.full(len(values), 9, dtype=_np.int64)  # tag + double
+                return np.full(len(values), 9, dtype=np.int64)  # tag + double
             return None
         if first.__class__ is int:
             if all(value.__class__ is int for value in values):
                 try:
-                    column = _np.fromiter(values, dtype=_np.int64, count=len(values))
+                    column = np.fromiter(values, dtype=np.int64, count=len(values))
                 except OverflowError:  # beyond int64: scalar fallback
                     return None
                 return int_size_array(column)
             return None
         if first is None and all(value is None for value in values):
-            return _np.ones(len(values), dtype=_np.int64)
+            return np.ones(len(values), dtype=np.int64)
         return None
 
     def _vector_entry_sizes(
@@ -238,21 +229,21 @@ class CSRAdjacency:
         if not all_int_targets:
             return False
         try:
-            targets_arr = _np.fromiter(targets, dtype=_np.int64, count=len(targets))
+            targets_arr = np.fromiter(targets, dtype=np.int64, count=len(targets))
         except OverflowError:
             return False
         meta_sizes = self._vector_value_sizes([entry[2] for entry in entries])
         if meta_sizes is None:
             return False
-        degrees = _np.fromiter(
-            (entry[1] for entry in entries), dtype=_np.int64, count=len(entries)
+        degrees = np.fromiter(
+            (entry[1] for entry in entries), dtype=np.int64, count=len(entries)
         )
         sz_target = int_size_array(targets_arr)
         sz_degree = int_size_array(degrees)
         # One candidate tuple (r, d(r), meta(p, r)) on the legacy wire:
         # 2 framing bytes (tuple tag + arity) plus its fields.
         per_edge = 2 + sz_target + sz_degree + meta_sizes
-        cumsum = _np.concatenate(([0], _np.cumsum(per_edge)))
+        cumsum = np.concatenate(([0], np.cumsum(per_edge)))
         self.tgt_wire_sizes = (sz_target + meta_sizes).tolist()
         self.cand_size_cumsum = cumsum.tolist()
         return True
@@ -265,16 +256,16 @@ class CSRAdjacency:
         paths index); the columnar driver reads these int64 array twins —
         ``indptr``, ``tgt_owner``, ``row_wire``, ``tgt_wire``,
         ``cand_cumsum``, ``row_order_ids`` — so per-wedge size/owner math
-        becomes array arithmetic.  Requires NumPy.
+        becomes array arithmetic.
         """
         if self._columns is None:
             self._columns = SimpleNamespace(
-                indptr=_np.asarray(self.indptr, dtype=_np.int64),
-                tgt_owner=_np.asarray(self.tgt_owner, dtype=_np.int64),
-                row_wire=_np.asarray(self.row_wire_sizes, dtype=_np.int64),
-                tgt_wire=_np.asarray(self.tgt_wire_sizes, dtype=_np.int64),
-                cand_cumsum=_np.asarray(self.cand_size_cumsum, dtype=_np.int64),
-                row_order_ids=_np.asarray(self.row_order_ids, dtype=_np.int64),
+                indptr=np.asarray(self.indptr, dtype=np.int64),
+                tgt_owner=np.asarray(self.tgt_owner, dtype=np.int64),
+                row_wire=np.asarray(self.row_wire_sizes, dtype=np.int64),
+                tgt_wire=np.asarray(self.tgt_wire_sizes, dtype=np.int64),
+                cand_cumsum=np.asarray(self.cand_size_cumsum, dtype=np.int64),
+                row_order_ids=np.asarray(self.row_order_ids, dtype=np.int64),
             )
         return self._columns
 
@@ -291,10 +282,6 @@ class CSRAdjacency:
         """The row's target order-ids (sorted ascending)."""
         lo, hi = self.indptr[row], self.indptr[row + 1]
         return self.tgt_ids[lo:hi]
-
-    def suffix_wire_bytes(self, qpos: int, hi: int) -> int:
-        """Serialized bytes of the candidate tuples in edge range ``(qpos, hi)``."""
-        return self.cand_size_cumsum[hi] - self.cand_size_cumsum[qpos + 1]
 
 
 class DODGraph:
@@ -400,10 +387,9 @@ class DODGraph:
             per-edge ``order_key`` tuples, hash calls, or owner lookups.
             ``"bulk-legacy"`` runs the original per-half-edge Python loop
             (kept as the reference the golden-parity tests and
-            ``benchmarks/bench_build_pipeline.py`` gate against; also the
-            automatic fallback when NumPy is unavailable).  Both produce
-            bit-identical graphs: same store insertion order, same adjacency
-            tuples in the same ``<+``-sorted order, same
+            ``benchmarks/bench_build_pipeline.py`` gate against).  Both
+            produce bit-identical graphs: same store insertion order, same
+            adjacency tuples in the same ``<+``-sorted order, same
             :meth:`order_ids`.  ``"async"`` routes every half edge through
             the simulated runtime exactly as the MPI implementation would,
             charging the traffic to the construction phase.
@@ -417,7 +403,7 @@ class DODGraph:
         # the <+ comparison can be evaluated locally on the owner.  The bulk
         # pipeline collects the vertex/degree/meta columns in the same pass;
         # the other modes skip the column bookkeeping entirely.
-        vectorize = mode == "bulk" and _np is not None
+        vectorize = mode == "bulk"
         vertices: List[Hashable] = []
         degrees: List[int] = []
         metas: List[Any] = []
@@ -504,17 +490,17 @@ class DODGraph:
         self._order_ids = {vertices[g]: k for k, g in enumerate(order_list)}
 
         if tgt_indices:
-            src = _np.repeat(
-                _np.arange(len(vertices), dtype=_np.int64),
-                _np.asarray(src_counts, dtype=_np.int64),
+            src = np.repeat(
+                np.arange(len(vertices), dtype=np.int64),
+                np.asarray(src_counts, dtype=np.int64),
             )
-            tgt = _np.asarray(tgt_indices, dtype=_np.int64)
+            tgt = np.asarray(tgt_indices, dtype=np.int64)
             keep = pos[tgt] < pos[src]
             kept_src = src[keep]
             kept_tgt = tgt[keep]
-            kept_meta = _np.flatnonzero(keep)
+            kept_meta = np.flatnonzero(keep)
             # Group by target, entries in the target's final <+ order.
-            sorter = _np.lexsort((pos[kept_src], kept_tgt))
+            sorter = np.lexsort((pos[kept_src], kept_tgt))
             tgt_sorted = kept_tgt[sorter]
             src_list = kept_src[sorter].tolist()
             tgt_list = tgt_sorted.tolist()
@@ -533,7 +519,7 @@ class DODGraph:
         self._invalidate_derived()
 
     # ------------------------------------------------------------------
-    # Derived flat views (batched engine backend)
+    # Derived flat views (columnar engine backend)
     # ------------------------------------------------------------------
     def _invalidate_derived(self) -> None:
         for snapshot in self._csr.values():
@@ -573,16 +559,16 @@ class DODGraph:
         length :meth:`order_count` maps any target's dense ``<+`` id to its
         row inside the *owning* rank's :class:`CSRAdjacency` — the lookup the
         columnar intersect handler does per wedge without a dict probe.
-        Requires NumPy; built lazily over all ranks' CSR snapshots and
-        invalidated with them.
+        Built lazily over all ranks' CSR snapshots and invalidated with
+        them.
         """
         if self._rows_by_order_id is None:
-            out = _np.zeros(self.order_count(), dtype=_np.int64)
+            out = np.zeros(self.order_count(), dtype=np.int64)
             for rank in range(self.world.nranks):
                 snapshot = self.csr(rank)
                 if snapshot.num_rows:
-                    ids = _np.asarray(snapshot.row_order_ids, dtype=_np.int64)
-                    out[ids] = _np.arange(snapshot.num_rows, dtype=_np.int64)
+                    ids = np.asarray(snapshot.row_order_ids, dtype=np.int64)
+                    out[ids] = np.arange(snapshot.num_rows, dtype=np.int64)
             self._rows_by_order_id = out
         return self._rows_by_order_id
 
@@ -634,7 +620,7 @@ class DODGraph:
         """The rank's :class:`CSRAdjacency` snapshot (lazily built, cached).
 
         Exposes the same per-rank store as :meth:`local_store` as contiguous
-        arrays for the batched engine; invalidated automatically if the
+        arrays for the columnar engine; invalidated automatically if the
         record view mutates (new edges offered, adjacency re-sorted).  Under
         an ``"mmap"`` storage policy (:meth:`configure_storage`) the
         snapshot's column arrays are spilled to tracked memmap segment files
@@ -718,22 +704,17 @@ class DODGraph:
         """|W+|: the number of wedge checks the push algorithm will generate.
 
         Each pivot p contributes C(d+(p), 2) candidate checks (Section 4.3);
-        summed as one array expression per rank when NumPy is available.
+        summed as one array expression per rank.
         """
         total = 0
         for rank in range(self.world.nranks):
             store = self.local_store(rank)
-            if _np is not None:
-                degrees = _np.fromiter(
-                    (len(record["adj"]) for record in store.values()),
-                    dtype=_np.int64,
-                    count=len(store),
-                )
-                total += int((degrees * (degrees - 1) // 2).sum())
-                continue
-            for record in store.values():
-                d_plus = len(record["adj"])
-                total += d_plus * (d_plus - 1) // 2
+            degrees = np.fromiter(
+                (len(record["adj"]) for record in store.values()),
+                dtype=np.int64,
+                count=len(store),
+            )
+            total += int((degrees * (degrees - 1) // 2).sum())
         return total
 
     def local_vertices(self, rank: int) -> Iterator[Tuple[Hashable, Dict[str, Any]]]:

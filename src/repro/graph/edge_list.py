@@ -20,6 +20,8 @@ from __future__ import annotations
 from itertools import repeat
 from typing import Any, Callable, Dict, Hashable, Iterable, Iterator, List, Optional, Tuple
 
+import numpy as np
+
 from ..runtime.world import (
     RankContext,
     World,
@@ -28,11 +30,6 @@ from ..runtime.world import (
     stable_tuple_hash_array,
 )
 from .metadata import edge_timestamp
-
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via the scalar fallback
-    _np = None
 
 __all__ = [
     "DistributedEdgeList",
@@ -103,25 +100,24 @@ def validate_edge_columns(
 
 
 def _validate_id_column(name: str, column: Any) -> None:
-    if _np is not None:
-        arr = _np.asarray(column)
-        if arr.size == 0:
-            # An empty plain list coerces to float64; there are no ids to
-            # reject, so don't let the default dtype fail the column.
-            return
-        if arr.dtype != object:
-            if not _np.issubdtype(arr.dtype, _np.integer):
-                raise ValueError(
-                    f"column {name!r} has non-integer dtype {arr.dtype}; "
-                    "vertex ids must be integers (float ids would truncate "
-                    "silently)"
-                )
-            if arr.size and int(arr.min()) < 0:
-                raise ValueError(
-                    f"column {name!r} contains negative vertex ids "
-                    f"(min {int(arr.min())})"
-                )
-            return
+    arr = np.asarray(column)
+    if arr.size == 0:
+        # An empty plain list coerces to float64; there are no ids to
+        # reject, so don't let the default dtype fail the column.
+        return
+    if arr.dtype != object:
+        if not np.issubdtype(arr.dtype, np.integer):
+            raise ValueError(
+                f"column {name!r} has non-integer dtype {arr.dtype}; "
+                "vertex ids must be integers (float ids would truncate "
+                "silently)"
+            )
+        if int(arr.min()) < 0:
+            raise ValueError(
+                f"column {name!r} contains negative vertex ids "
+                f"(min {int(arr.min())})"
+            )
+        return
     for index, value in enumerate(column):
         if isinstance(value, bool) or not _is_integral(value):
             raise ValueError(
@@ -138,7 +134,7 @@ def _validate_id_column(name: str, column: Any) -> None:
 def _is_integral(value: Any) -> bool:
     if isinstance(value, int):
         return True
-    return _np is not None and isinstance(value, _np.integer)
+    return isinstance(value, np.integer)
 
 
 _REDUCTIONS: Dict[str, Callable[[Any, Any], Any]] = {
@@ -296,7 +292,7 @@ class DistributedEdgeList:
         # all — the surviving record per pair is simply its first occurrence
         # — so it runs as one columnar np.unique pass.  Other reductions and
         # non-integer ids take the dict path below.
-        if reduction == "first" and _np is not None:
+        if reduction == "first":
             fast = self._simplify_vectorized(drop_self_loops)
             if fast is not None:
                 return fast
@@ -365,26 +361,26 @@ class DistributedEdgeList:
         # construction would leak an orphaned handler registration, shifting
         # every later handler id (and with it the accounted wire bytes).
         try:
-            us = _np.array(us_list, dtype=_np.int64)
-            vs = _np.array(vs_list, dtype=_np.int64)
+            us = np.array(us_list, dtype=np.int64)
+            vs = np.array(vs_list, dtype=np.int64)
         except OverflowError:  # ids beyond int64: dict fallback
             return None
         out = DistributedEdgeList(self.world)
         if not us_list:
             return out
-        meta_index = _np.arange(len(us_list), dtype=_np.int64)
+        meta_index = np.arange(len(us_list), dtype=np.int64)
         if drop_self_loops:
             keep = us != vs
             us, vs, meta_index = us[keep], vs[keep], meta_index[keep]
             if not len(us):
                 return out
-        lo = _np.minimum(us, vs)
-        hi = _np.maximum(us, vs)
-        _, first = _np.unique(_np.stack([lo, hi], axis=1), axis=0, return_index=True)
+        lo = np.minimum(us, vs)
+        hi = np.maximum(us, vs)
+        _, first = np.unique(np.stack([lo, hi], axis=1), axis=0, return_index=True)
         dests = self._pair_dests(lo[first], hi[first])
         # Emit rank-major, first-occurrence order within each rank — the
         # iteration order of the dict path's per-rank buckets.
-        emit = _np.lexsort((first, dests))
+        emit = np.lexsort((first, dests))
         lo_list = lo.tolist()
         hi_list = hi.tolist()
         meta_list = meta_index.tolist()

@@ -39,10 +39,7 @@ from dataclasses import dataclass, replace
 from types import SimpleNamespace
 from typing import Any, Iterable, List, Optional, Set, Tuple
 
-try:  # NumPy is required for the mmap storage tier (resident needs nothing).
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via resolve_storage errors
-    _np = None
+import numpy as np
 
 __all__ = [
     "STORAGES",
@@ -76,14 +73,12 @@ def resolve_storage(storage: Any = None) -> str:
     """Normalise a ``storage=`` selector to a known storage mode.
 
     ``None`` selects resident storage — the default everywhere, so existing
-    callers are untouched by the storage axis.  ``"mmap"`` additionally
-    requires NumPy (the spilled columns are ``np.memmap`` arrays).
+    callers are untouched by the storage axis.  ``"mmap"`` spills the
+    columns to ``np.memmap`` arrays.
     """
     if storage is None:
         return "resident"
     if isinstance(storage, str) and storage in STORAGES:
-        if storage == "mmap" and _np is None:
-            raise ValueError("storage='mmap' requires NumPy (np.memmap segments)")
         return storage
     raise ValueError(f"unknown storage mode {storage!r}; known: {STORAGES}")
 
@@ -201,7 +196,7 @@ def _new_memmap(directory: str, prefix: str, name: str, length: int):
     bookkeeping is uniform; the returned array is sliced back to length.
     """
     path = os.path.join(directory, f"{prefix}{name}.seg")
-    mm = _np.memmap(path, dtype=_np.int64, mode="w+", shape=(max(length, 1),))
+    mm = np.memmap(path, dtype=np.int64, mode="w+", shape=(max(length, 1),))
     _ACTIVE.add(path)
     return mm[:length], path
 
@@ -211,7 +206,7 @@ def _fill_chunked(target, source) -> None:
     n = len(source)
     for lo in range(0, n, _COPY_CHUNK):
         hi = min(lo + _COPY_CHUNK, n)
-        target[lo:hi] = _np.asarray(source[lo:hi], dtype=_np.int64)
+        target[lo:hi] = np.asarray(source[lo:hi], dtype=np.int64)
 
 
 def spill_csr(csr, order_count: int, config: StorageConfig) -> List[str]:
@@ -226,8 +221,6 @@ def spill_csr(csr, order_count: int, config: StorageConfig) -> List[str]:
     ``csr.segment_paths``) and returns the created paths; the owning
     :class:`~repro.graph.dodgr.DODGraph` unlinks them on every exit path.
     """
-    if _np is None:  # pragma: no cover - guarded by resolve_storage
-        raise RuntimeError("mmap storage requires NumPy")
     from ..core.intersection import RowAdjacency  # deferred: core imports graph
 
     directory = config.resolved_directory()
@@ -253,15 +246,15 @@ def spill_csr(csr, order_count: int, config: StorageConfig) -> List[str]:
     # Composite keys (edge_row * order_count + key), built block-wise so the
     # transient never exceeds the copy chunk.
     composite, comp_path = _new_memmap(directory, prefix, "composite", num_edges)
-    stride = _np.int64(order_count)
+    stride = np.int64(order_count)
     for row_lo in range(0, csr.num_rows, _COPY_CHUNK):
         row_hi = min(row_lo + _COPY_CHUNK, csr.num_rows)
         lo, hi = int(indptr[row_lo]), int(indptr[row_hi])
-        lengths = _np.asarray(indptr[row_lo + 1 : row_hi + 1]) - _np.asarray(
+        lengths = np.asarray(indptr[row_lo + 1 : row_hi + 1]) - np.asarray(
             indptr[row_lo:row_hi]
         )
-        edge_rows = _np.repeat(
-            _np.arange(row_lo, row_hi, dtype=_np.int64), lengths
+        edge_rows = np.repeat(
+            np.arange(row_lo, row_hi, dtype=np.int64), lengths
         )
         composite[lo:hi] = edge_rows * stride + tgt_ids[lo:hi]
     composite.flush()
@@ -278,10 +271,10 @@ def spill_csr(csr, order_count: int, config: StorageConfig) -> List[str]:
     csr._columns = SimpleNamespace(
         indptr=indptr,
         tgt_owner=tgt_owner,
-        row_wire=_np.asarray(csr.row_wire_sizes, dtype=_np.int64),
+        row_wire=np.asarray(csr.row_wire_sizes, dtype=np.int64),
         tgt_wire=tgt_wire,
         cand_cumsum=cand_cumsum,
-        row_order_ids=_np.asarray(csr.row_order_ids, dtype=_np.int64),
+        row_order_ids=np.asarray(csr.row_order_ids, dtype=np.int64),
     )
     adjacency = RowAdjacency(tgt_ids, indptr, order_count)
     adjacency._composite = composite
@@ -304,7 +297,7 @@ def stage_send_columns(csr, rows_sorted, qpos_sorted):
     slices into payloads; the in-memory originals die when the drive
     returns.  Resident snapshots pass straight through.
     """
-    if _np is None or getattr(csr, "storage", "resident") != "mmap":
+    if getattr(csr, "storage", "resident") != "mmap":
         return rows_sorted, qpos_sorted
     n = int(len(rows_sorted))
     scratch = csr.send_scratch
@@ -322,7 +315,7 @@ def stage_send_columns(csr, rows_sorted, qpos_sorted):
         prefix = f"repro-ooc-{os.getpid()}-{_SPILL_SEQ[0]}-"
         capacity = max(n, 1)
         path = os.path.join(directory, f"{prefix}send_scratch.seg")
-        mm = _np.memmap(path, dtype=_np.int64, mode="w+", shape=(2, capacity))
+        mm = np.memmap(path, dtype=np.int64, mode="w+", shape=(2, capacity))
         _ACTIVE.add(path)
         csr.segment_paths.append(path)
         scratch = (mm, capacity, path)
@@ -330,8 +323,8 @@ def stage_send_columns(csr, rows_sorted, qpos_sorted):
     mm = scratch[0]
     staged_rows = mm[0, :n]
     staged_qpos = mm[1, :n]
-    _fill_chunked(staged_rows, _np.asarray(rows_sorted, dtype=_np.int64))
-    _fill_chunked(staged_qpos, _np.asarray(qpos_sorted, dtype=_np.int64))
+    _fill_chunked(staged_rows, np.asarray(rows_sorted, dtype=np.int64))
+    _fill_chunked(staged_qpos, np.asarray(qpos_sorted, dtype=np.int64))
     return staged_rows, staged_qpos
 
 

@@ -14,12 +14,9 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from typing import Any, Dict, Hashable, Iterable, List
 
-from ..runtime.world import stable_hash, stable_hash_int_array, stable_tuple_hash_array
+import numpy as np
 
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via the scalar fallback
-    _np = None
+from ..runtime.world import stable_hash, stable_hash_int_array, stable_tuple_hash_array
 
 __all__ = [
     "Partitioner",
@@ -56,11 +53,9 @@ class Partitioner(ABC):
         of the per-edge loop.  Boolean ids are out of scope (columns are
         genuine integer id spaces).
         """
-        if _np is None:
-            return [self.owner(int(v)) for v in ids]
-        ids = _np.asarray(ids)
-        return _np.fromiter(
-            (self.owner(v) for v in ids.tolist()), dtype=_np.int64, count=len(ids)
+        ids = np.asarray(ids)
+        return np.fromiter(
+            (self.owner(v) for v in ids.tolist()), dtype=np.int64, count=len(ids)
         )
 
 
@@ -76,9 +71,7 @@ class CyclicPartitioner(Partitioner):
         return vertex % self.nranks
 
     def owners_array(self, ids: Any) -> Any:
-        if _np is None:
-            return super().owners_array(ids)
-        return _np.asarray(ids, dtype=_np.int64) % self.nranks
+        return np.asarray(ids, dtype=np.int64) % self.nranks
 
 
 class HashPartitioner(Partitioner):
@@ -98,9 +91,7 @@ class HashPartitioner(Partitioner):
         return stable_hash(vertex) % self.nranks
 
     def owners_array(self, ids: Any) -> Any:
-        if _np is None:
-            return super().owners_array(ids)
-        hashes = stable_hash_int_array(_np.asarray(ids, dtype=_np.int64))
+        hashes = stable_hash_int_array(np.asarray(ids, dtype=np.int64))
         if self.seed:
             # Replay stable_hash((seed, vertex)) with the shared combiner.
             hashes = stable_tuple_hash_array([stable_hash(self.seed), hashes])
@@ -130,10 +121,8 @@ class BlockPartitioner(Partitioner):
         return min(vertex // self.block, self.nranks - 1)
 
     def owners_array(self, ids: Any) -> Any:
-        if _np is None:
-            return super().owners_array(ids)
-        ids = _np.asarray(ids, dtype=_np.int64)
-        owners = _np.minimum(ids // self.block, self.nranks - 1)
+        ids = np.asarray(ids, dtype=np.int64)
+        owners = np.minimum(ids // self.block, self.nranks - 1)
         negative = ids < 0
         if negative.any():
             owners[negative] = stable_hash_int_array(ids[negative]) % self.nranks

@@ -47,6 +47,7 @@ import multiprocessing
 import os
 import pickle
 import time
+from multiprocessing import resource_tracker
 from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
 
 from ..world import LivelockError
@@ -483,6 +484,11 @@ def run_program_in_processes(program: Any) -> float:
     _check_supported(world, request)
     reducer = _validated_reducer(request.callback)
     mp_context = _fork_context()
+    # Start the parent's shared-memory resource tracker before forking, so
+    # the workers inherit it.  Otherwise each worker lazily spawns its own
+    # tracker on its first segment, and since workers leave via os._exit
+    # those trackers are orphaned.
+    resource_tracker.ensure_running()
 
     nranks = world.nranks
     nworkers = resolve_worker_count(request.workers, nranks)

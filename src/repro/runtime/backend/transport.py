@@ -32,15 +32,12 @@ from __future__ import annotations
 import pickle
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
+import numpy as np
+
 from ..message_buffer import BufferedMessage, SizedMessage
 from ..rpc import RpcHandle
 from ..world import BatchedCall
 from . import shm as _shm
-
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via the ("py", ...) fallback
-    _np = None
 
 __all__ = ["SegmentWriter", "MessageEncoder", "MessageDecoder", "sort_key"]
 
@@ -82,7 +79,7 @@ class SegmentWriter:
         if not self._arrays:
             return None
         segment = _shm.create_segment(self.name, max(1, self._total_elems * 8))
-        view = _np.ndarray((self._total_elems,), dtype=_np.int64, buffer=segment.buf)
+        view = np.ndarray((self._total_elems,), dtype=np.int64, buffer=segment.buf)
         for array in self._arrays:
             offset, length = self._entries[id(array)]
             view[offset : offset + length] = array
@@ -104,9 +101,8 @@ class MessageEncoder:
             return ("shared", key)
         if (
             self._writer is not None
-            and _np is not None
-            and isinstance(value, _np.ndarray)
-            and value.dtype == _np.int64
+            and isinstance(value, np.ndarray)
+            and value.dtype == np.int64
             and value.ndim == 1
             and value.flags["C_CONTIGUOUS"]
         ):
@@ -177,8 +173,8 @@ class MessageDecoder:
             segment = self.attachments.get(name)
             if segment is None:
                 segment = self.attachments[name] = _shm.attach_segment(name)
-            return _np.ndarray(
-                (length,), dtype=_np.int64, buffer=segment.buf, offset=offset * 8
+            return np.ndarray(
+                (length,), dtype=np.int64, buffer=segment.buf, offset=offset * 8
             )
         raise TypeError(f"unknown encoded value tag {tag!r}")
 

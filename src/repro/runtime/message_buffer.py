@@ -20,10 +20,10 @@ This module reproduces that layer for the simulated runtime:
 The number of wire messages and wire bytes recorded here are the quantities
 reported as "Communication Volume" in Table 4 of the paper.
 
-Virtual streams (batched engine support)
-----------------------------------------
+Virtual streams (columnar engine support)
+-----------------------------------------
 
-The batched survey engine coalesces many logical per-wedge RPCs into one
+The columnar survey engine coalesces many logical per-wedge RPCs into one
 physical batched call, but Table 4 numbers must not move: the batch stands in
 for a specific stream of legacy messages whose exact serialized sizes are
 known.  :meth:`BufferBank.send_virtual` accounts one such legacy-equivalent
@@ -148,7 +148,7 @@ class MessageBuffer:
     def append_virtual(self, nbytes: int) -> bool:
         """Account ``nbytes`` of occupancy without queueing a deliverable message.
 
-        Used by the batched engine to replay the buffer behaviour (occupancy,
+        Used by the columnar engine to replay the buffer behaviour (occupancy,
         flush boundaries, wire sizes) of a legacy message whose payload is
         carried by a batched call instead.  Returns True when the buffer is
         now above threshold, exactly like :meth:`append`.
@@ -281,7 +281,7 @@ class BufferBank:
 
         Performs every send-side effect :meth:`send` would for a payload of
         that exact serialized size — RPC count, local/remote byte counters,
-        buffer occupancy, threshold flushes — so a batched engine that knows
+        buffer occupancy, threshold flushes — so an engine that knows
         the sizes of the per-message stream it replaces keeps Table 4
         communication accounting byte-identical.  The receive-side accounting
         of the replaced messages travels with the batched call.

@@ -487,7 +487,7 @@ def serialized_size(value: Any) -> int:
 def uvarint_size(value: int) -> int:
     """Bytes an unsigned varint occupies (container length prefixes).
 
-    Lets size-accounting code (the batched survey engine) compute the exact
+    Lets size-accounting code (the columnar survey engine) compute the exact
     framing overhead of a list of known length without encoding it.
     """
     if value < 0:
@@ -500,7 +500,7 @@ def uvarint_size(value: int) -> int:
 
 
 def int_size_array(values: Any) -> Any:
-    """Vectorized integer wire size for int64 arrays (requires NumPy).
+    """Vectorized integer wire size for int64 arrays.
 
     ``int_size_array(a)[i] == serialized_size(int(a[i]))`` for every int64
     value, negatives included: the scalar path zigzags into 70 masked bits
@@ -524,7 +524,7 @@ def int_size_array(values: Any) -> Any:
 
 
 def uvarint_size_array(values: Any) -> Any:
-    """Vectorized :func:`uvarint_size` over an int array (requires NumPy).
+    """Vectorized :func:`uvarint_size` over an int array.
 
     ``uvarint_size_array(a)[i] == uvarint_size(int(a[i]))`` for every
     non-negative int64 value; used by the columnar survey driver to compute

@@ -31,6 +31,8 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Any, Callable, Deque, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from .faults import Envelope, FaultInjector, FaultPlan, ReliableTransport
 from .message_buffer import (
     DEFAULT_FLUSH_THRESHOLD,
@@ -42,11 +44,6 @@ from .message_buffer import (
 from .network_model import CATALYST_LIKE, CostModel, SimulatedTime, simulate_time
 from .rpc import RpcHandle, RpcRegistry
 from .stats import WorldStats
-
-try:  # NumPy accelerates bulk hashing when available; scalar fallback otherwise.
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via the scalar fallback
-    _np = None
 
 __all__ = [
     "World",
@@ -114,12 +111,12 @@ class LivelockError(WorldError):
 class BatchedCall:
     """One coalesced RPC standing in for ``virtual_rpcs`` legacy messages.
 
-    The batched engine accounts the wire behaviour of the replaced messages
+    The columnar engine accounts the wire behaviour of the replaced messages
     through :meth:`BufferBank.send_virtual` on the send side; this carrier
     holds the receive-side accounting: executing it counts as
     ``virtual_rpcs`` executed RPCs and ``virtual_bytes`` received payload
     bytes (for remote sources).  Arguments are delivered by reference — the
-    batched driver builds them fresh per call and never mutates them
+    columnar driver builds them fresh per call and never mutates them
     afterwards, so skipping the codec is safe and is precisely where the
     host-time win over the per-wedge path comes from.
 
@@ -798,20 +795,16 @@ def stable_hash_int_array(values: Any) -> Any:
     ``stable_hash_int_array(a)[i] == stable_hash(int(a[i]))`` for every int64
     value, including negatives (which :func:`stable_hash` first masks to 64
     bits, exactly like the two's-complement ``uint64`` view used here).
-    Requires NumPy; int-keyed bulk paths (partition owner maps, the ``<+``
-    order, edge-list dedup routing) fall back to the scalar function per
-    element when it is unavailable.  Booleans are *not* handled — callers
-    hash genuine integer id columns only.
+    Booleans are *not* handled — callers hash genuine integer id columns
+    only.
     """
-    if _np is None:
-        return [stable_hash(int(v)) for v in values]
-    x = _np.asarray(values).astype(_np.uint64)
-    x = x ^ (x >> _np.uint64(30))
-    x = x * _np.uint64(0xBF58476D1CE4E5B9)
-    x = x ^ (x >> _np.uint64(27))
-    x = x * _np.uint64(0x94D049BB133111EB)
-    x = x ^ (x >> _np.uint64(31))
-    return (x & _np.uint64(0x7FFFFFFFFFFFFFFF)).astype(_np.int64)
+    x = np.asarray(values).astype(np.uint64)
+    x = x ^ (x >> np.uint64(30))
+    x = x * np.uint64(0xBF58476D1CE4E5B9)
+    x = x ^ (x >> np.uint64(27))
+    x = x * np.uint64(0x94D049BB133111EB)
+    x = x ^ (x >> np.uint64(31))
+    return (x & np.uint64(0x7FFFFFFFFFFFFFFF)).astype(np.int64)
 
 
 def stable_tuple_hash_array(item_hashes: Sequence[Any]) -> Any:
@@ -824,7 +817,7 @@ def stable_tuple_hash_array(item_hashes: Sequence[Any]) -> Any:
     stable_hash((a, key_i))`` where ``sh_col[i] == stable_hash(key_i)`` —
     the replay of the scalar tuple combiner that keeps vectorized routing
     (edge-list dedup owners, seeded hash partitioners) on exactly the ranks
-    the scalar path picks.  Requires NumPy; callers gate on its absence.
+    the scalar path picks.
     """
     length = None
     for column in item_hashes:
@@ -833,12 +826,12 @@ def stable_tuple_hash_array(item_hashes: Sequence[Any]) -> Any:
             break
     if length is None:
         raise ValueError("at least one item-hash column must be an array")
-    h = _np.full(length, _TUPLE_SEED, dtype=_np.uint64)
-    mul = _np.uint64(_TUPLE_MUL)
+    h = np.full(length, _TUPLE_SEED, dtype=np.uint64)
+    mul = np.uint64(_TUPLE_MUL)
     for column in item_hashes:
         h = h * mul
         if isinstance(column, int):
-            h = h ^ _np.uint64(column)
+            h = h ^ np.uint64(column)
         else:
-            h = h ^ _np.asarray(column).astype(_np.uint64)
-    return (h & _np.uint64(0x7FFFFFFFFFFFFFFF)).astype(_np.int64)
+            h = h ^ np.asarray(column).astype(np.uint64)
+    return (h & np.uint64(0x7FFFFFFFFFFFFFFF)).astype(np.int64)

@@ -63,7 +63,6 @@ from ..core.engine import (
     SurveyRequest,
     execute_survey,
     resolve_engine,
-    resolve_incremental_engine,
 )
 from ..core.engine.registry import suggest_name
 from ..graph.delta import DeltaBuffer
@@ -349,9 +348,9 @@ class SurveyService:
         self.analyses: Dict[str, AnalysisSpec] = {
             analysis: get_analysis(analysis) for analysis in names
         }
-        #: default exact engine (resolved through the registry so NumPy
-        #: downgrades apply); queries may override per-query
-        self.default_engine = resolve_engine(engine).name
+        #: exact-query engine when a query names none (columnar unless
+        #: ``engine=`` says otherwise); queries may override per-query
+        self.engine_name = resolve_engine(engine).name
         self.name = name
         self.plan = plan
         # The resident ledger: one streaming pass surveys every tracked
@@ -362,7 +361,7 @@ class SurveyService:
             reducer_factory=make_composite_reducer(tuple(self.analyses.values())),
             plan=plan,
             policy=self.policy.checkpoint,
-            engine=resolve_incremental_engine(None).name,
+            engine=resolve_engine(None).name,
             graph_name=f"{name}.ledger",
         )
         # The exact-query substrate: a second resident graph whose rebuilt
@@ -576,7 +575,7 @@ class SurveyService:
     # ------------------------------------------------------------------
     def _engine_name(self, query: SurveyQuery) -> str:
         if query.engine is None:
-            return self.default_engine
+            return self.engine_name
         return resolve_engine(query.engine).name
 
     def _cached_entry(

@@ -1,14 +1,12 @@
 """End-to-end parity: coalesced surveys vs the legacy per-wedge path.
 
-The batched engine's contract (ISSUE 1) is *observational equivalence*: on
-the same graph and world shape it must produce identical triangle counts,
-identical callback invocations, and identical communication/compute
-accounting — per rank and per phase — while only the host wall-clock
-changes.  The columnar engine (ISSUE 3) inherits the same contract one
-aggregation level up (one RPC per rank pair, coalesced pull deliveries,
-TriangleBatch reducer delivery), so every parity case here runs against
-both engines, on both survey algorithms, all three kernels, and the
-NetworkX oracle.
+The columnar engine's contract is *observational equivalence*: on the same
+graph and world shape it must produce identical triangle counts, identical
+callback invocations, and identical communication/compute accounting — per
+rank and per phase — while only the host wall-clock changes, even though it
+coalesces one RPC per rank pair, coalesces pull deliveries and delivers
+TriangleBatch columns to reducers.  Every parity case here runs on both
+survey algorithms, all three kernels, and against the NetworkX oracle.
 """
 
 from __future__ import annotations
@@ -16,10 +14,12 @@ from __future__ import annotations
 import pytest
 
 from repro.baselines.networkx_ref import triangle_count_nx
+from repro.core.engine import EngineConfig
 from repro.core.push_pull import triangle_survey, triangle_survey_push_pull
 from repro.core.survey import triangle_survey_push
 from repro.graph.dodgr import DODGraph
 from repro.graph.generators import GeneratedGraph
+from repro.graph.ooc import StorageConfig, active_segment_paths
 from repro.runtime.world import World
 
 
@@ -27,6 +27,41 @@ def path_graph(n: int) -> GeneratedGraph:
     """A triangle-free path graph with per-edge metadata."""
     edges = [(i, i + 1, float(i)) for i in range(n - 1)]
     return GeneratedGraph(name=f"path_{n}", edges=edges)
+
+
+#: The columnar engine's distinct code paths, each held to legacy parity:
+#: production (small row intersections routed through the scalar
+#: reference), the ``scalar`` kernel tier, the NumPy row pipeline forced for
+#: every input, and out-of-core ``mmap`` CSR storage with the candidate
+#: streams cut into the smallest chunks the budget logic allows.
+COLUMNAR_PATHS = [
+    "columnar",
+    "columnar-scalar-tier",
+    "columnar-vectorized",
+    "columnar-mmap-chunked",
+]
+
+
+@pytest.fixture
+def engine(request, monkeypatch, tmp_path):
+    """Engine selector for one columnar code path.
+
+    Every survey below releases its DODGr, which must unlink each segment
+    file an ``mmap`` run spilled.
+    """
+    selector = "columnar"
+    if request.param == "columnar-scalar-tier":
+        selector = EngineConfig(engine="columnar", kernel_tier="scalar")
+    elif request.param == "columnar-vectorized":
+        monkeypatch.setattr("repro.core.intersection._SCALAR_BATCH_CUTOFF", -1)
+    elif request.param == "columnar-mmap-chunked":
+        storage = StorageConfig(
+            mode="mmap", directory=str(tmp_path), chunk_candidates=256
+        )
+        selector = EngineConfig(engine="columnar", storage=storage)
+    yield selector
+    assert not active_segment_paths()
+    assert not list(tmp_path.iterdir())
 
 
 def run_survey(dataset, nranks, algorithm, engine, kernel="merge_path"):
@@ -52,7 +87,9 @@ def run_survey(dataset, nranks, algorithm, engine, kernel="merge_path"):
         report = triangle_survey_push_pull(
             dodgr, callback, kernel=kernel, engine=engine
         )
-    return report, sorted(invocations), stats_snapshot(world, report.phases)
+    snapshot = stats_snapshot(world, report.phases)
+    dodgr.release()
+    return report, sorted(invocations), snapshot
 
 
 def stats_snapshot(world, phases):
@@ -77,7 +114,7 @@ def stats_snapshot(world, phases):
     return snapshot
 
 
-@pytest.mark.parametrize("engine", ["batched", "columnar"])
+@pytest.mark.parametrize("engine", COLUMNAR_PATHS, indirect=True)
 @pytest.mark.parametrize("algorithm", ["push", "push_pull"])
 class TestCoalescedMatchesLegacy:
     def assert_equivalent(self, dataset, nranks, algorithm, engine, kernel="merge_path"):
@@ -116,21 +153,19 @@ class TestCoalescedMatchesLegacy:
 
 
 class TestBatchedAgainstOracle:
-    @pytest.mark.parametrize("engine", ["batched", "columnar"])
+    @pytest.mark.parametrize("engine", COLUMNAR_PATHS, indirect=True)
     @pytest.mark.parametrize("nranks", [1, 4, 8])
     def test_push_matches_networkx(self, small_rmat, nranks, engine):
         expected = triangle_count_nx((u, v) for u, v, _ in small_rmat.edges)
         report, _, _ = run_survey(small_rmat, nranks, "push", engine=engine)
         assert report.triangles == expected
 
-    def test_dispatcher_batched_matches_networkx(self, small_er):
-        # batched=True is the deprecated PR 1 selector: it must still map to
-        # the batched engine (one release of back-compat), but warn.
+    def test_dispatcher_default_matches_networkx(self, small_er):
+        # The dispatcher's default engine (columnar) on Push-Pull.
         expected = triangle_count_nx((u, v) for u, v, _ in small_er.edges)
         world = World(4)
         dodgr = DODGraph.build(small_er.to_distributed(world), mode="bulk")
-        with pytest.warns(DeprecationWarning, match="batched= boolean is deprecated"):
-            report = triangle_survey(dodgr, algorithm="push_pull", batched=True)
+        report = triangle_survey(dodgr, algorithm="push_pull")
         assert report.triangles == expected
 
     def test_batched_runs_reuse_same_dodgr(self, small_er):
@@ -140,7 +175,7 @@ class TestBatchedAgainstOracle:
         expected = triangle_count_nx((u, v) for u, v, _ in small_er.edges)
         world = World(4)
         dodgr = DODGraph.build(small_er.to_distributed(world), mode="bulk")
-        for engine in ("batched", "legacy", "columnar", "batched", "columnar"):
+        for engine in ("columnar", "legacy", "columnar", "legacy", "columnar"):
             report = triangle_survey_push(dodgr, engine=engine)
             assert report.triangles == expected
 
@@ -173,6 +208,7 @@ class TestRpcSendingCallbacks:
             ctx.async_call(ctx.owner_of(tri.r), handle, tri.r)
 
         report = triangle_survey_push(dodgr, callback, engine=engine)
+        dodgr.release()
         total = world.stats.total()
         invariants = (
             report.triangles,
@@ -188,7 +224,7 @@ class TestRpcSendingCallbacks:
         )
         return invariants
 
-    @pytest.mark.parametrize("engine", ["batched", "columnar"])
+    @pytest.mark.parametrize("engine", COLUMNAR_PATHS, indirect=True)
     def test_all_totals_match_even_when_callback_sends(self, small_er, engine):
         legacy = self.run_with_forwarding_callback(small_er, engine="legacy")
         coalesced = self.run_with_forwarding_callback(small_er, engine=engine)

@@ -24,6 +24,7 @@ from repro.core.callbacks import LocalTriangleCounter, TriangleCounter
 from repro.core.engine import (
     CheckpointPolicy,
     CheckpointedStreamingSurvey,
+    EngineConfig,
     StaleCheckpointError,
     engine_names,
     run_survey_with_recovery,
@@ -32,6 +33,7 @@ from repro.core.incremental import StreamingSurvey
 from repro.core.survey import triangle_survey_push
 from repro.graph.dodgr import DODGraph
 from repro.graph.generators import erdos_renyi
+from repro.graph.ooc import active_segment_paths
 from repro.runtime.faults import FaultPlan, RankCrashError, fault_plan_digest
 from repro.runtime.world import World
 
@@ -42,6 +44,18 @@ GRAPH = dict(num_vertices=40, edge_probability=0.25, seed=11)
 CRASH_PLAN = FaultPlan(
     name="crash", seed=3, crash_rank=1, crash_phase="push", crash_after_executions=2
 )
+
+
+#: Every engine, plus the columnar engine on out-of-core (``mmap``) CSR
+#: storage; releasing the graph afterwards must unlink every segment file,
+#: the crashed attempt's included.
+RECOVERY_ENGINES = engine_names() + ("columnar-mmap",)
+
+
+def engine_selector(engine):
+    if engine == "columnar-mmap":
+        return EngineConfig(engine="columnar", storage="mmap")
+    return engine
 
 
 def build_graph(world, seed=11):
@@ -55,8 +69,12 @@ def direct_survey(engine=None):
     world = World(NRANKS)
     dodgr = DODGraph.build(build_graph(world), mode="bulk")
     reducer = LocalTriangleCounter(world)
-    report = triangle_survey_push(dodgr, reducer.callback, engine=engine)
+    report = triangle_survey_push(
+        dodgr, reducer.callback, engine=engine_selector(engine)
+    )
     reducer.finalize()
+    dodgr.release()
+    assert not active_segment_paths()
     return reducer.snapshot(), report.triangles
 
 
@@ -64,14 +82,17 @@ def recovery_survey(plan=None, policy=None, with_graph=False, engine=None):
     world = World(NRANKS)
     graph = build_graph(world)
     dodgr = DODGraph.build(graph, mode="bulk")
-    return run_survey_with_recovery(
+    result = run_survey_with_recovery(
         dodgr,
         LocalTriangleCounter,
-        engine=engine,
+        engine=engine_selector(engine),
         plan=plan,
         policy=policy,
         graph=graph if with_graph else None,
     )
+    dodgr.release()
+    assert not active_segment_paths()
+    return result
 
 
 class TestPolicy:
@@ -91,7 +112,7 @@ class TestPolicy:
 
 
 class TestFullSurveyRecovery:
-    @pytest.mark.parametrize("engine", engine_names())
+    @pytest.mark.parametrize("engine", RECOVERY_ENGINES)
     def test_fault_free_wrapper_is_transparent(self, engine):
         panel, triangles = direct_survey(engine=engine)
         res = recovery_survey(engine=engine)
@@ -100,7 +121,7 @@ class TestFullSurveyRecovery:
         assert res.panel == panel
         assert res.report.triangles == triangles
 
-    @pytest.mark.parametrize("engine", engine_names())
+    @pytest.mark.parametrize("engine", RECOVERY_ENGINES)
     def test_crash_recovery_panels_bit_identical(self, engine):
         baseline = recovery_survey(engine=engine)
         crashed = recovery_survey(plan=CRASH_PLAN, engine=engine)

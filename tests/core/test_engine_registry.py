@@ -1,4 +1,4 @@
-"""Unit tests for the engine registry, EngineConfig and the batched= deprecation."""
+"""Unit tests for the engine registry, EngineConfig and the engine defaults."""
 
 from __future__ import annotations
 
@@ -10,20 +10,17 @@ from repro.core.engine import (
     EngineConfig,
     EngineSpec,
     SurveyRequest,
-    default_engine,
     engine_names,
     execute_survey,
-    incremental_engine_names,
-    register_engine,
     registered_engines,
     resolve_engine,
-    resolve_incremental_engine,
     split_engine_selector,
 )
 from repro.core.engine import registry as registry_module
-from repro.graph import DODGraph, community_host_graph
+from repro.graph import DODGraph, community_host_graph, serial_triangle_count
 from repro.graph.generators import erdos_renyi
-from repro.runtime import World
+from repro.graph.ooc import active_segment_paths
+from repro.runtime import World, active_segment_names
 
 
 def build_dodgr(generated, nranks):
@@ -33,15 +30,19 @@ def build_dodgr(generated, nranks):
 
 class TestRegistry:
     def test_builtin_engines_registered_in_order(self):
-        assert engine_names()[:4] == ("legacy", "batched", "columnar", "columnar-pull")
-        assert [spec.name for spec in registered_engines()[:4]] == list(engine_names()[:4])
+        assert engine_names() == ("legacy", "columnar")
+        assert [spec.name for spec in registered_engines()] == list(engine_names())
 
     def test_resolve_defaults(self):
-        assert resolve_engine(None).name == "legacy"
-        assert resolve_engine(None, batched=True).name == "batched"
-        assert resolve_engine("columnar").name == "columnar"
-        assert resolve_engine(resolve_engine("batched")).name == "batched"
-        assert resolve_engine(EngineConfig(engine="columnar-pull")).name == "columnar-pull"
+        assert resolve_engine(None).name == "columnar"
+        assert resolve_engine("legacy").name == "legacy"
+        assert resolve_engine(resolve_engine("legacy")).name == "legacy"
+        assert resolve_engine(EngineConfig(engine="legacy")).name == "legacy"
+        assert resolve_engine(EngineConfig(kernel="hash")).name == "columnar"
+
+    def test_columnar_flag(self):
+        assert resolve_engine("columnar").columnar
+        assert not resolve_engine("legacy").columnar
 
     def test_unknown_engine_rejected(self):
         with pytest.raises(ValueError, match="unknown survey engine"):
@@ -55,18 +56,13 @@ class TestRegistry:
             assert name in message
         assert "did you mean 'columnar'?" in message
 
-    def test_unknown_incremental_engine_suggests(self):
-        with pytest.raises(ValueError) as excinfo:
-            resolve_incremental_engine("legcay")
-        assert "did you mean 'legacy'?" in str(excinfo.value)
-
     def test_no_suggestion_for_genuinely_foreign_names(self):
         with pytest.raises(ValueError) as excinfo:
             resolve_engine("warp-drive-9000")
         assert "did you mean" not in str(excinfo.value)
 
     def test_suggest_name_helper(self):
-        known = ("legacy", "batched", "columnar")
+        known = ("legacy", "columnar")
         assert (
             registry_module.suggest_name("colummar", known)
             == "; did you mean 'columnar'?"
@@ -79,62 +75,6 @@ class TestRegistry:
         foreign = EngineSpec(name="legacy", description="an impostor spec")
         with pytest.raises(ValueError, match="not the registered spec"):
             resolve_engine(foreign)
-
-    def test_duplicate_registration_rejected(self):
-        with pytest.raises(ValueError, match="already registered"):
-            register_engine(EngineSpec(name="legacy", description="dup"))
-
-    def test_incremental_engine_names(self):
-        names = incremental_engine_names()
-        assert "legacy" in names and "columnar" in names
-        assert "batched" not in names  # no incremental form
-        with pytest.raises(ValueError, match="unknown incremental engine"):
-            resolve_incremental_engine("batched")
-        assert resolve_incremental_engine("columnar-pull").incremental_style == "columnar"
-
-    def test_incremental_numpy_downgrade_goes_to_legacy(self, monkeypatch):
-        """Without NumPy the delta survey falls back to its scalar reference,
-        not along the full-survey fallback chain (batched has no incremental
-        form) — the pre-refactor behaviour."""
-        monkeypatch.setattr(registry_module, "_np", None)
-        assert resolve_incremental_engine(None).name == "legacy"
-        assert resolve_incremental_engine("columnar").name == "legacy"
-        assert resolve_incremental_engine("columnar-pull").name == "legacy"
-        # Full surveys still follow the declared fallback chain.
-        assert resolve_engine("columnar").name == "batched"
-
-    def test_columnar_pull_is_pure_composition(self):
-        """The new engine is a registry entry, not a new driver."""
-        spec = resolve_engine("columnar-pull")
-        assert spec.push_style == "batched"
-        assert spec.pull_style == "columnar"
-        assert spec.proposal_style == "batched"
-        assert spec.fallback == "batched"
-
-    def test_user_registered_engine_runs(self, small_er):
-        """A new composition registered through the public API is selectable
-        from the normal entry points and stays on the equivalence contract."""
-        name = "test-legacy-pull"
-        register_engine(
-            EngineSpec(
-                name=name,
-                description="columnar pushes, legacy pull (test-only)",
-                push_style="columnar",
-                pull_style="legacy",
-                proposal_style="batched",
-                requires_numpy=True,
-                fallback="batched",
-            )
-        )
-        try:
-            _, dodgr = build_dodgr(small_er, 4)
-            oracle = triangle_survey_push_pull(dodgr, engine="legacy")
-            report = triangle_survey_push_pull(dodgr, engine=name)
-            assert report.triangles == oracle.triangles
-            assert report.communication_bytes == oracle.communication_bytes
-        finally:
-            registry_module._REGISTRY.pop(name)
-
 
 class TestSurveyRequest:
     def test_execute_survey_dispatch(self, small_er):
@@ -154,9 +94,9 @@ class TestEngineConfig:
     def test_coerce(self):
         assert EngineConfig.coerce(None) == EngineConfig()
         assert EngineConfig.coerce("columnar").engine == "columnar"
-        config = EngineConfig(engine="batched", kernel="hash")
+        config = EngineConfig(engine="legacy", kernel="hash")
         assert EngineConfig.coerce(config) is config
-        assert EngineConfig.coerce(resolve_engine("batched")).engine == "batched"
+        assert EngineConfig.coerce(resolve_engine("legacy")).engine == "legacy"
         with pytest.raises(TypeError):
             EngineConfig.coerce(42)
 
@@ -177,8 +117,8 @@ class TestEngineConfig:
             10,
         )
         # Plain strings / None pass straight through.
-        assert split_engine_selector("batched", "merge_path", 10) == (
-            "batched",
+        assert split_engine_selector("legacy", "merge_path", 10) == (
+            "legacy",
             "merge_path",
             10,
         )
@@ -196,20 +136,6 @@ class TestEngineConfig:
             7,
         )
 
-    def test_default_engine_fills_unset_name_only(self):
-        assert default_engine(None, "columnar") == "columnar"
-        filled = default_engine(EngineConfig(kernel="hash"), "columnar")
-        assert filled.engine == "columnar" and filled.kernel == "hash"
-        # Pinned selectors pass through untouched.
-        assert default_engine("legacy", "columnar") == "legacy"
-        pinned = EngineConfig(engine="batched")
-        assert default_engine(pinned, "columnar") is pinned
-
-    def test_incremental_default_survives_kernel_only_config(self):
-        """EngineConfig(kernel=...) with engine unset keeps the incremental
-        layer's columnar default instead of falling through to legacy."""
-        assert resolve_incremental_engine(EngineConfig(kernel="hash")).name == "columnar"
-
     def test_analysis_keeps_columnar_default_with_kernel_only_config(
         self, small_er, monkeypatch
     ):
@@ -221,8 +147,8 @@ class TestEngineConfig:
         resolved = []
         real = push_pull_module.resolve_engine
 
-        def recording_resolve(engine=None, batched=False):
-            spec = real(engine, batched)
+        def recording_resolve(engine=None):
+            spec = real(engine)
             resolved.append(spec.name)
             return spec
 
@@ -244,66 +170,114 @@ class TestEngineConfig:
         assert config.wire_messages == loose.wire_messages
 
 
-class TestBatchedDeprecation:
-    @pytest.mark.parametrize("survey", [triangle_survey_push, triangle_survey_push_pull])
-    def test_batched_true_warns_and_maps(self, small_er, survey):
-        _, dodgr = build_dodgr(small_er, 4)
-        oracle = survey(dodgr, engine="batched")
-        with pytest.warns(DeprecationWarning, match="batched= boolean is deprecated"):
-            report = survey(dodgr, batched=True)
-        assert report.triangles == oracle.triangles
-        assert report.communication_bytes == oracle.communication_bytes
-        assert report.wire_messages == oracle.wire_messages
+class TestValidateRequest:
+    """Unsupported execution-axis combinations fail before anything runs."""
 
-    def test_dispatcher_warning_attributed_to_caller(self, small_er):
-        """The deprecation notice through triangle_survey() must point at the
-        user's call site, not at library frames (Python's default filters
-        only show DeprecationWarning attributed to the caller's module)."""
+    @pytest.mark.parametrize(
+        "engine,tier",
+        [
+            ("legacy", "scalar"),
+            ("legacy", "auto"),
+            ("columnar", "scalar"),
+            ("columnar", "columnar"),
+            ("columnar", "compiled"),
+            ("columnar", "auto"),
+        ],
+    )
+    def test_declared_tiers_run(self, small_er, engine, tier):
         _, dodgr = build_dodgr(small_er, 4)
-        with pytest.warns(DeprecationWarning) as record:
-            triangle_survey(dodgr, algorithm="push", batched=True)
-        assert record[0].filename == __file__
+        report = triangle_survey_push(dodgr, engine=engine, kernel_tier=tier)
+        assert report.triangles == serial_triangle_count(small_er.edges)
 
-    def test_batched_false_warns_and_maps_to_legacy(self, small_er):
-        _, dodgr = build_dodgr(small_er, 4)
-        oracle = triangle_survey_push(dodgr, engine="legacy")
-        with pytest.warns(DeprecationWarning):
-            report = triangle_survey_push(dodgr, batched=False)
-        assert report.communication_bytes == oracle.communication_bytes
+    @pytest.mark.parametrize("tier", ["columnar", "compiled"])
+    def test_undeclared_tier_rejected_before_running(self, small_er, tier):
+        world, dodgr = build_dodgr(small_er, 4)
+        handlers = len(world.registry)
+        with pytest.raises(ValueError, match="does not support kernel tier"):
+            triangle_survey_push(dodgr, engine="legacy", kernel_tier=tier)
+        assert len(world.registry) == handlers
 
-    def test_default_emits_no_warning(self, small_er, recwarn):
+    def test_unknown_tier_suggests(self, small_er):
         _, dodgr = build_dodgr(small_er, 4)
+        with pytest.raises(ValueError, match="did you mean 'scalar'"):
+            triangle_survey_push(dodgr, engine="columnar", kernel_tier="scaler")
+
+    @pytest.mark.parametrize(
+        "survey", [triangle_survey_push, triangle_survey_push_pull]
+    )
+    def test_mmap_rejected_on_process_backend(self, small_er, survey):
+        world, dodgr = build_dodgr(small_er, 4)
+        handlers = len(world.registry)
+        with pytest.raises(ValueError, match="storage='mmap' is not supported"):
+            survey(dodgr, storage="mmap", backend="process", workers=2)
+        assert len(world.registry) == handlers
+        assert dodgr.storage_config().mode == "resident"
+        assert not active_segment_paths()
+        assert active_segment_names() == frozenset()
+
+    def test_unknown_storage_rejected(self, small_er):
+        _, dodgr = build_dodgr(small_er, 4)
+        with pytest.raises(ValueError, match="unknown storage mode 'disk'"):
+            triangle_survey_push(dodgr, storage="disk")
+
+
+class TestDefaults:
+    def test_every_entry_point_defaults_to_columnar(self, small_er, monkeypatch):
+        """engine=None resolves to columnar at every entry point."""
+        import repro.core.incremental as incremental_module
+        import repro.core.push_pull as push_pull_module
+        import repro.core.survey as survey_module
+        from repro.analysis import (
+            run_closure_time_survey,
+            run_clustering_coefficients,
+            run_degree_triple_survey,
+            run_fqdn_survey,
+            run_streaming_closure_time_survey,
+            truss_decomposition,
+        )
+        from repro.core.incremental import StreamingSurvey
+        from repro.service import SurveyService
+
+        resolved = []
+        for module in (survey_module, push_pull_module, incremental_module):
+            real = module.resolve_engine
+
+            def recording_resolve(engine=None, _real=real):
+                spec = _real(engine)
+                resolved.append(spec.name)
+                return spec
+
+            monkeypatch.setattr(module, "resolve_engine", recording_resolve)
+
+        world, dodgr = build_dodgr(small_er, 4)
+        triangle_survey(dodgr)
+        triangle_survey(dodgr, algorithm="push")
         triangle_survey_push(dodgr)
-        assert not [w for w in recwarn.list if issubclass(w.category, DeprecationWarning)]
+        triangle_survey_push_pull(dodgr)
+        StreamingSurvey(World(4), TriangleCounter).ingest(small_er.edges)
+        graph = small_er.to_distributed(World(4))
+        run_closure_time_survey(graph)
+        run_clustering_coefficients(graph)
+        run_degree_triple_survey(graph)
+        run_fqdn_survey(graph)
+        truss_decomposition(graph)
+        run_streaming_closure_time_survey(World(4), [small_er.edges])
+        assert len(resolved) >= 11
+        assert set(resolved) == {"columnar"}
+        assert SurveyService(World(4)).engine_name == "columnar"
 
-    def test_explicit_engine_wins_over_batched(self, small_er):
+    @pytest.mark.parametrize(
+        "survey", [triangle_survey, triangle_survey_push, triangle_survey_push_pull]
+    )
+    def test_batched_keyword_is_gone(self, small_er, survey):
         _, dodgr = build_dodgr(small_er, 4)
-        oracle = triangle_survey_push(dodgr, engine="columnar")
-        with pytest.warns(DeprecationWarning):
-            report = triangle_survey_push(dodgr, batched=True, engine="columnar")
-        assert report.communication_bytes == oracle.communication_bytes
-
-    def test_batched_true_panel_parity(self, small_er):
-        """The shim must route through the real batched engine: the reducer
-        panel a ``batched=True`` run produces is bit-identical to an
-        explicit ``engine="batched"`` run, not just the counters."""
-        panels = {}
-        for kwargs in ({"engine": "batched"}, {"batched": True}):
-            world, dodgr = build_dodgr(small_er, 4)
-            reducer = LocalTriangleCounter(world)
-            if "batched" in kwargs:
-                with pytest.warns(DeprecationWarning):
-                    triangle_survey_push(dodgr, reducer.callback, **kwargs)
-            else:
-                triangle_survey_push(dodgr, reducer.callback, **kwargs)
-            reducer.finalize()
-            panels[tuple(kwargs)] = reducer.snapshot()
-        assert panels[("engine",)] == panels[("batched",)]
+        with pytest.raises(TypeError):
+            survey(dodgr, batched=True)
 
 
-class TestColumnarPullEngine:
+class TestPullHeavyParity:
     def test_pull_path_parity_with_real_pulls(self):
-        """columnar-pull on a pull-heavy graph: panels and wire totals match
+        """columnar on a pull-heavy graph: panels and wire totals match
         legacy exactly, and the graph actually pulls."""
         generated = community_host_graph(
             300,
@@ -314,7 +288,7 @@ class TestColumnarPullEngine:
         )
         panels = {}
         reports = {}
-        for engine in ("legacy", "columnar-pull"):
+        for engine in ("legacy", "columnar"):
             world = World(4)
             dodgr = DODGraph.build(generated.to_distributed(world), mode="bulk")
             reducer = LocalTriangleCounter(world)
@@ -324,7 +298,7 @@ class TestColumnarPullEngine:
             reducer.finalize()
             panels[engine] = reducer.snapshot()
         assert reports["legacy"].vertices_pulled > 0
-        assert panels["columnar-pull"] == panels["legacy"]
+        assert panels["columnar"] == panels["legacy"]
         for field in (
             "triangles",
             "communication_bytes",
@@ -332,14 +306,12 @@ class TestColumnarPullEngine:
             "wedge_checks",
             "vertices_pulled",
         ):
-            assert getattr(reports["columnar-pull"], field) == getattr(
+            assert getattr(reports["columnar"], field) == getattr(
                 reports["legacy"], field
             ), field
 
-    def test_selectable_from_dispatcher_and_push(self, small_er):
+    def test_default_engine_from_dispatcher_push(self, small_er):
         _, dodgr = build_dodgr(small_er, 4)
         counter = TriangleCounter(dodgr.world)
-        report = triangle_survey(
-            dodgr, counter.callback, algorithm="push", engine="columnar-pull"
-        )
+        report = triangle_survey(dodgr, counter.callback, algorithm="push")
         assert counter.result() == report.triangles

@@ -86,7 +86,8 @@ class TestWireSizePrecompute:
                     # Legacy candidate list minus its 2 framing bytes
                     # (list tag + length prefix), which the survey driver
                     # accounts separately via uvarint_size.
-                    assert csr.suffix_wire_bytes(qpos, hi) == len(dumps(candidates)) - 2
+                    suffix_bytes = csr.cand_size_cumsum[hi] - csr.cand_size_cumsum[qpos + 1]
+                    assert suffix_bytes == len(dumps(candidates)) - 2
                     checked += 1
         assert checked > 50
 

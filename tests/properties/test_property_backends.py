@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 
 from repro.core import triangle_survey_push, triangle_survey_push_pull
 from repro.core.callbacks import LocalTriangleCounter
-from repro.core.engine import backend_names, engine_names
+from repro.core.engine import EngineConfig, backend_names, engine_names
 from repro.graph import DODGraph
 from repro.graph.generators import erdos_renyi, rmat
 from repro.runtime import World, active_segment_names
@@ -100,11 +100,16 @@ def test_process_backend_matches_simulated_oracle(generated, nranks, algorithm):
 
 
 @pytest.mark.parametrize("algorithm", ["push", "push_pull"])
-@pytest.mark.parametrize("engine", sorted(engine_names()))
+@pytest.mark.parametrize(
+    "engine", sorted(engine_names()) + ["columnar-scalar-tier"]
+)
 def test_fixed_graph_full_matrix(algorithm, engine):
     """Deterministic full engine × algorithm coverage on one non-trivial
-    graph — runs every time, no example budget involved."""
+    graph — runs every time, no example budget involved.  The columnar
+    engine also runs on the ``scalar`` kernel tier inside the workers."""
     generated = rmat(6, edge_factor=6, seed=13)
+    if engine == "columnar-scalar-tier":
+        engine = EngineConfig(engine="columnar", kernel_tier="scalar")
     oracle_panel, oracle = run_backend(generated, 5, algorithm, engine, "simulated")
     panel, report = run_backend(generated, 5, algorithm, engine, "process")
     context = f"{engine}/{algorithm} on {generated.name}"

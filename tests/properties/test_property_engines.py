@@ -1,8 +1,7 @@
 """Property-based cross-engine equivalence (ISSUE 5).
 
-Every engine in the registry — including ``columnar-pull`` and anything a
-user registers later — must satisfy the equivalence contract on arbitrary
-inputs: identical reducer ``snapshot()`` panels and identical wire-byte
+Every engine in the registry must satisfy the equivalence contract on
+arbitrary inputs: identical reducer ``snapshot()`` panels and identical wire-byte
 totals, for both survey algorithms, at any rank count.  The legacy engine
 is the oracle; the random inputs are the generators the paper benchmarks on
 (R-MAT, Erdős–Rényi).
@@ -15,7 +14,7 @@ from hypothesis import strategies as st
 
 from repro.core import triangle_survey_push, triangle_survey_push_pull
 from repro.core.callbacks import LocalTriangleCounter
-from repro.core.engine import engine_names, incremental_engine_names
+from repro.core.engine import engine_names
 from repro.core.incremental import StreamingSurvey
 from repro.graph import DODGraph
 from repro.graph.generators import erdos_renyi, rmat
@@ -47,9 +46,9 @@ def run_engine(generated, nranks, algorithm, engine):
     return reducer.snapshot(), report
 
 
-def test_columnar_pull_is_registered():
-    """The property below must actually cover the new engine."""
-    assert "columnar-pull" in engine_names()
+def test_columnar_is_registered():
+    """The property below must actually cover the production engine."""
+    assert "columnar" in engine_names()
 
 
 @given(
@@ -127,8 +126,8 @@ def graphs_with_batches(draw):
 
 def test_incremental_engines_exist():
     """The delta property below must cover more than just the oracle."""
-    assert "legacy" in incremental_engine_names()
-    assert len(incremental_engine_names()) >= 2
+    assert "legacy" in engine_names()
+    assert len(engine_names()) >= 2
 
 
 @given(graphs_with_batches(), st.integers(min_value=1, max_value=6))
@@ -145,7 +144,7 @@ def test_incremental_engines_agree_with_full_recompute(graph_and_batches, nranks
         f"legacy stream on {generated.name}: cumulative panel != full recompute"
     )
     assert oracle_totals["triangles"] == full_report.triangles
-    for name in incremental_engine_names():
+    for name in engine_names():
         if name == "legacy":
             continue
         panel, totals = replay_stream(generated, batches, nranks, name)

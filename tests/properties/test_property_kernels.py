@@ -3,7 +3,7 @@
 The kernel-tier layer promises that every tier — ``scalar`` (reference
 loops), ``columnar`` (NumPy pipelines with closed-form comparison replay)
 and ``compiled`` (numba-jitted merge loops) — produces *identical* matches
-and *identical* aggregate comparison counts for every batch/row kernel, on
+and *identical* aggregate comparison counts for every row kernel, on
 arbitrary inputs.  The scalar tier is the oracle; the suite drives every
 registered tier plus the compiled loop bodies directly (they are plain
 Python when numba is absent, so the contract is pinned with or without the
@@ -27,29 +27,18 @@ from hypothesis import strategies as st
 
 from repro.core import intersection_compiled
 from repro.core.intersection import (
-    BATCH_KERNEL_TIERS,
     INTERSECTION_KERNELS,
     KERNEL_TIER_FALLBACK,
     KERNEL_TIERS,
     ROW_KERNEL_TIERS,
     RowAdjacency,
     available_kernel_tiers,
-    batch_kernel,
     resolve_kernel_tier,
     row_kernel,
 )
-from repro.core.intersection_compiled import (
-    COMPILED_BATCH_KERNELS,
-    COMPILED_ROW_KERNELS,
-    NUMBA_AVAILABLE,
-)
+from repro.core.intersection_compiled import COMPILED_ROW_KERNELS, NUMBA_AVAILABLE
 
 KERNEL_NAMES = tuple(INTERSECTION_KERNELS)
-
-
-def canonical_batch(result):
-    """(sorted match triples, comparisons) — tier-independent form."""
-    return (sorted(tuple(map(int, m)) for m in result.matches), int(result.comparisons))
 
 
 def canonical_rows(result):
@@ -72,29 +61,6 @@ def sorted_unique(draw, order_count, max_len, min_len=0):
         )
     )
     return sorted(keys)
-
-
-@st.composite
-def batch_cases(draw):
-    """Candidate segments + one shared adjacency, adversarial shapes included.
-
-    Segment lengths of 0 and 1 arise naturally; keys repeat across segments
-    and overlap the adjacency (the same small order-id universe), which is
-    the duplicate-key regime the composite-key row kernels must not confuse.
-    """
-    order_count = draw(st.integers(min_value=1, max_value=40))
-    n_segments = draw(st.integers(min_value=0, max_value=6))
-    segments = [
-        sorted_unique(draw, order_count, max_len=min(order_count, 8))
-        for _ in range(n_segments)
-    ]
-    offsets = [0]
-    flat = []
-    for seg in segments:
-        flat.extend(seg)
-        offsets.append(len(flat))
-    adjacency = sorted_unique(draw, order_count, max_len=min(order_count, 12))
-    return flat, offsets, adjacency
 
 
 @st.composite
@@ -132,34 +98,12 @@ def row_cases(draw):
     return flat, offsets, seg_rows, adjacency
 
 
-def batch_variants(name):
-    """Every batch implementation of ``name``: registered tiers + compiled loops."""
-    variants = {
-        f"tier:{tier}": kernels[name] for tier, kernels in BATCH_KERNEL_TIERS.items()
-    }
-    variants["compiled-loops"] = COMPILED_BATCH_KERNELS[name]
-    return variants
-
-
 def row_variants(name):
     variants = {
         f"tier:{tier}": kernels[name] for tier, kernels in ROW_KERNEL_TIERS.items()
     }
     variants["compiled-loops"] = COMPILED_ROW_KERNELS[name]
     return variants
-
-
-@settings(max_examples=120, deadline=None)
-@given(case=batch_cases())
-def test_batch_kernels_agree_across_tiers(case):
-    """Same matches, same comparison totals: every tier, every batch kernel."""
-    flat, offsets, adjacency = case
-    for name in KERNEL_NAMES:
-        variants = batch_variants(name)
-        oracle = canonical_batch(variants["tier:scalar"](flat, offsets, adjacency))
-        for label, kernel_fn in variants.items():
-            got = canonical_batch(kernel_fn(flat, offsets, adjacency))
-            assert got == oracle, f"{name}/{label} diverged: {got} != {oracle}"
 
 
 @settings(max_examples=120, deadline=None)
@@ -217,23 +161,6 @@ def test_row_kernels_adversarial_cases(name):
             assert got == oracle, f"{name}/{label} on {flat, offsets, seg_rows}"
 
 
-@pytest.mark.parametrize("name", KERNEL_NAMES)
-def test_batch_kernels_adversarial_cases(name):
-    cases = [
-        ([], [0], []),
-        ([], [0, 0, 0], [1, 2, 3]),
-        ([5], [0, 1], []),
-        ([1, 2, 3], [0, 1, 2, 3], [2]),
-        ([2, 4, 6], [0, 3], [2, 4, 6]),
-    ]
-    for flat, offsets, adjacency in cases:
-        variants = batch_variants(name)
-        oracle = canonical_batch(variants["tier:scalar"](flat, offsets, adjacency))
-        for label, kernel_fn in variants.items():
-            got = canonical_batch(kernel_fn(flat, offsets, adjacency))
-            assert got == oracle, f"{name}/{label} on {flat, offsets}"
-
-
 # ---------------------------------------------------------------------------
 # Downgrade semantics: with and without numba
 # ---------------------------------------------------------------------------
@@ -242,13 +169,13 @@ def test_batch_kernels_adversarial_cases(name):
 def test_compiled_module_imports_without_numba():
     """The compiled module is importable either way; its loops are callable."""
     assert isinstance(intersection_compiled.NUMBA_AVAILABLE, bool)
-    result = COMPILED_BATCH_KERNELS["merge_path"]([1, 2], [0, 2], [2, 3])
-    assert canonical_batch(result) == ([(0, 1, 0)], 2)
+    adjacency = _adjacency([[2, 3]])
+    result = COMPILED_ROW_KERNELS["merge_path"]([1, 2], [0, 2], [0], adjacency)
+    assert canonical_rows(result) == ([0], [1], [0], 2)
 
 
 def test_compiled_tier_registration_matches_numba():
     """``compiled`` is a registered tier exactly when numba is installed."""
-    assert ("compiled" in BATCH_KERNEL_TIERS) == NUMBA_AVAILABLE
     assert ("compiled" in ROW_KERNEL_TIERS) == NUMBA_AVAILABLE
     assert available_kernel_tiers() == tuple(
         tier for tier in KERNEL_TIERS if tier in ROW_KERNEL_TIERS
@@ -264,9 +191,8 @@ def test_resolve_compiled_follows_fallback_chain():
         assert resolved == KERNEL_TIER_FALLBACK["compiled"] == "columnar"
     # The accessors hand back callables for every name at every spelling.
     for name in KERNEL_NAMES:
-        assert callable(batch_kernel(name, "compiled"))
         assert callable(row_kernel(name, "compiled"))
-        assert callable(batch_kernel(name, None))
+        assert callable(row_kernel(name, None))
         assert callable(row_kernel(name, "auto"))
     with pytest.raises(ValueError):
         resolve_kernel_tier("vectorized")

@@ -10,12 +10,16 @@ backend's operational contract:
   scan);
 * repeated in-process runs are deterministic;
 * unsupported feature combinations fail *before forking* with a clear
-  :class:`~repro.runtime.backend.UnsupportedBackendError`.
+  :class:`~repro.runtime.backend.UnsupportedBackendError`;
+* a run leaves no orphaned helper process behind.
 """
 
 from __future__ import annotations
 
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -52,6 +56,64 @@ def shm_leftovers():
 def assert_no_segments():
     assert active_segment_names() == frozenset()
     assert shm_leftovers() == []
+
+
+#: Runs one process-backend survey in a fresh interpreter (so the parent's
+#: multiprocessing resource tracker is not yet running when the workers
+#: fork) and prints every new process that is not its own child but is a
+#: resource tracker or was reparented to init.
+ORPHAN_PROBE = """
+import os
+from repro.core.callbacks import TriangleCounter
+from repro.core.survey import triangle_survey_push
+from repro.graph import DODGraph
+from repro.graph.generators import rmat
+from repro.runtime import World
+
+def processes():
+    table = {}
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat") as fh:
+                ppid = int(fh.read().rsplit(")", 1)[1].split()[1])
+            with open(f"/proc/{entry}/cmdline", "rb") as fh:
+                cmdline = fh.read().decode(errors="replace")
+        except OSError:
+            continue
+        table[int(entry)] = (ppid, cmdline)
+    return table
+
+before = processes()
+world = World(4)
+dodgr = DODGraph.build(rmat(6, edge_factor=6, seed=13).to_distributed(world), mode="bulk")
+triangle_survey_push(
+    dodgr, TriangleCounter(world).callback, engine="columnar", backend="process", workers=2
+)
+me = os.getpid()
+print(sorted(
+    pid for pid, (ppid, cmdline) in processes().items()
+    if pid not in before and ppid != me
+    and (ppid == 1 or "resource_tracker" in cmdline)
+))
+"""
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs /proc")
+def test_no_orphaned_resource_trackers():
+    """Workers share the parent's resource tracker instead of each spawning
+    their own, which would outlive them as an orphan."""
+    src = Path(__file__).resolve().parents[2] / "src"
+    result = subprocess.run(
+        [sys.executable, "-c", ORPHAN_PROBE],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=120,
+    )
+    assert result.stdout.strip().splitlines()[-1] == "[]"
 
 
 # ---------------------------------------------------------------------------

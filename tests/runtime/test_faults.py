@@ -20,9 +20,15 @@ import random
 import pytest
 
 from repro.core.callbacks import LocalTriangleCounter
-from repro.core.engine import SurveyRequest, engine_names, execute_survey
+from repro.core.engine import (
+    EngineConfig,
+    SurveyRequest,
+    engine_names,
+    execute_survey,
+)
 from repro.graph.distributed_graph import DistributedGraph
 from repro.graph.dodgr import DODGraph
+from repro.graph.ooc import StorageConfig, active_segment_paths
 from repro.runtime import (
     FaultInjector,
     FaultPlan,
@@ -35,6 +41,11 @@ from repro.runtime.faults import Envelope, ReliableTransport, message_wire_bytes
 from repro.runtime.world import DEFAULT_MAX_DRAIN_SWEEPS, WorldError
 
 NRANKS = 4
+
+#: Every engine, plus the columnar engine on out-of-core storage: there the
+#: push payloads are slices of a disk-backed send buffer, so delayed and
+#: duplicated messages must still deliver the columns they were sent with.
+FAULT_ENGINES = engine_names() + ("columnar-mmap",)
 
 
 def small_edges(seed=7, vertices=40, count=160):
@@ -58,8 +69,13 @@ def run_survey(engine, plan=None, algorithm="push"):
     request = SurveyRequest(
         dodgr=dodgr, callback=reducer.callback, algorithm=algorithm
     )
+    if engine == "columnar-mmap":
+        storage = StorageConfig(mode="mmap", chunk_candidates=256)
+        engine = EngineConfig(engine="columnar", storage=storage)
     report = execute_survey(request, engine=engine).report
     reducer.finalize()
+    dodgr.release()
+    assert not active_segment_paths()
     return (
         reducer.snapshot(),
         report.triangles,
@@ -241,7 +257,7 @@ LOSSY_PLANS = [
 
 class TestWorldUnderFaults:
     @pytest.mark.parametrize("plan", LOSSY_PLANS, ids=lambda plan: plan.name)
-    @pytest.mark.parametrize("engine", engine_names())
+    @pytest.mark.parametrize("engine", FAULT_ENGINES)
     def test_lossy_plans_keep_panels_bit_identical(self, engine, plan):
         baseline = run_survey(engine)
         faulty = run_survey(engine, plan=plan)
@@ -252,7 +268,7 @@ class TestWorldUnderFaults:
         # retry traffic is honest: lossy runs never shrink the wire
         assert faulty[2] >= baseline[2]
 
-    @pytest.mark.parametrize("engine", engine_names())
+    @pytest.mark.parametrize("engine", FAULT_ENGINES)
     def test_armed_reliable_transport_is_byte_identical(self, engine):
         baseline = run_survey(engine)
         armed = run_survey(engine, plan=FaultPlan(name="armed", reliable=True))

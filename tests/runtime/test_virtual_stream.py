@@ -1,4 +1,4 @@
-"""Virtual-stream accounting and batched delivery (batched-engine runtime).
+"""Virtual-stream accounting and batched delivery (columnar-engine runtime).
 
 ``BufferBank.send_virtual`` must be byte-for-byte indistinguishable — in
 every counter the simulation reports — from ``send`` with a real payload of

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from repro.core.engine import engine_names, incremental_engine_names
+from repro.core.engine import engine_names
 from repro.runtime.faults import FaultPlan, sample_fault_plans
 from repro.sweep import (
     ANALYSES,
@@ -51,13 +51,10 @@ class TestRunShape:
 
     def test_axes_are_pure_functions_of_cell_index(self, small_chaos):
         configs, plans, chaos = small_chaos
-        full_axis = engine_names()
-        streaming_axis = incremental_engine_names()
+        axis = engine_names()
         for index, cell in enumerate(chaos.cells):
             assert cell.config_id == configs[index % len(configs)].config_id()
-            analysis = ANALYSES[index % len(ANALYSES)]
-            assert cell.analysis == analysis
-            axis = streaming_axis if analysis == "streaming" else full_axis
+            assert cell.analysis == ANALYSES[index % len(ANALYSES)]
             assert cell.engine == axis[index % len(axis)]
             assert cell.plan_name == plans[index].name
 

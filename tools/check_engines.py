@@ -23,7 +23,7 @@ Five checks, exit status 1 on any failure (each printed to stderr):
    :data:`repro.core.callbacks.REDUCER_REGISTRY` must expose the
    ``snapshot()`` / ``merge()`` / ``callback_batch`` trio (and the plain
    ``callback``), so streaming windows, checkpoint/restart recovery and the
-   columnar engines work with every registered reducer.
+   columnar engine works with every registered reducer.
 5. **Execution-axis parity** — the kernel-tier names in README.md's
    ``| Kernel tier |`` table must equal
    :data:`repro.core.intersection.KERNEL_TIERS`, the storage modes in the
