@@ -1,28 +1,23 @@
-"""Intersection kernel tiers — cutoff sweep and compiled-tier gate.
+"""Row intersection kernels — cutoff sweep and survey replay parity.
 
-Not a figure from the paper: this microbenchmark pins the kernel-tier layer
-added for beyond-RAM scale.  The row intersection kernels come in tiers sharing one contract (identical matches, identical aggregate
-comparison counts):
-
-* ``scalar``   — the reference per-segment Python loops, always available;
-* ``columnar`` — NumPy array pipelines with a scalar small-input escape
-  hatch governed by ``_SCALAR_BATCH_CUTOFF`` / ``_SCALAR_ROW_SEGMENT_CUTOFF``;
-* ``compiled`` — numba-jitted merge loops, registered only when numba
-  imports (``compiled -> columnar -> scalar`` downgrade otherwise).
+Not a figure from the paper: this microbenchmark pins the row kernels
+(:data:`repro.core.intersection.ROW_KERNELS`) the columnar engine
+intersects with.  Each is a NumPy array pipeline with a scalar small-input
+route (:func:`~repro.core.intersection._rows_via_scalar`) governed by
+``_SCALAR_BATCH_CUTOFF`` / ``_SCALAR_ROW_SEGMENT_CUTOFF``; both routes share
+one contract (identical matches, identical aggregate comparison counts).
 
 Two jobs here:
 
-1. **Cutoff sweep** — force the columnar row kernels down their scalar
-   and vectorized routes across input sizes bracketing the cutoffs, time both,
+1. **Cutoff sweep** — force the row kernels down their scalar and
+   vectorized routes across input sizes bracketing the cutoffs, time both,
    assert parity at every point, and record where the crossover actually
    sits so the cutoff constants can be audited against measurements.
-2. **Tier replay gate** — capture every row-kernel invocation of a real
+2. **Replay parity** — capture every row-kernel invocation of a real
    columnar survey over the ``rmat-weak`` dataset (the ``bench_survey_engine``
-   workload), replay the captured calls through every available tier,
-   assert bit-identical matches + comparison counts, and gate the compiled
-   tier at >= 2x over columnar host time.  The gate runs only where numba
-   is installed (the CI kernel-tier leg); numba-less environments record
-   the available tiers and skip the assertion, passing unchanged.
+   workload), replay the captured calls through ``ROW_KERNELS["merge_path"]``
+   and through the scalar reference, and assert bit-identical matches +
+   comparison counts.  Both replay times are recorded.
 """
 
 from __future__ import annotations
@@ -30,7 +25,6 @@ from __future__ import annotations
 import time
 
 import numpy as np
-import pytest
 
 from _artifacts import emit, emit_json
 from repro.bench import format_table, load_dataset
@@ -44,18 +38,13 @@ from repro.core.engine.driver import (
 )
 from repro.core.intersection import (
     ROW_KERNELS,
-    available_kernel_tiers,
-    resolve_kernel_tier,
-    row_kernel,
+    _rows_via_scalar,
+    merge_path_intersection,
 )
-from repro.core.intersection_compiled import NUMBA_AVAILABLE
 from repro.graph.dodgr import DODGraph
 from repro.runtime.world import World
 
 NODES = 16
-#: The compiled tier must at least halve columnar kernel time on the
-#: replayed survey workload before it earns its registry slot.
-COMPILED_SPEEDUP_GATE = 2.0
 #: A cutoff constant large enough to force the scalar route at every size
 #: this sweep generates (and small enough to stay an exact int64).
 FORCE_SCALAR = 1 << 40
@@ -196,7 +185,7 @@ def test_cutoff_sweep(benchmark):
                 }
                 for row in rows
             ],
-            title="Columnar-tier scalar cutoffs — route timing sweep",
+            title="Row-kernel scalar cutoffs — route timing sweep",
         )
     )
     emit_json(
@@ -214,7 +203,7 @@ def test_cutoff_sweep(benchmark):
 
 
 # ---------------------------------------------------------------------------
-# Tier replay: real survey call shapes through every tier
+# Replay: real survey call shapes through the row kernel and its reference
 # ---------------------------------------------------------------------------
 
 
@@ -253,80 +242,75 @@ def capture_row_calls(dataset):
     return calls, reducer.result()
 
 
-def replay(calls, tier):
-    """Replay every captured call through ``tier``'s merge-path row kernel."""
-    kernel_fn = row_kernel("merge_path", tier)
-    results = [
+def _scalar_reference(candidates, offsets, seg_rows, adjacency):
+    return _rows_via_scalar(
+        merge_path_intersection, candidates, offsets, seg_rows, adjacency
+    )
+
+
+#: The replayed implementations: the production row kernel and the scalar
+#: reference it must reproduce.
+REPLAY_KERNELS = {
+    "row_kernel": ROW_KERNELS["merge_path"],
+    "scalar_reference": _scalar_reference,
+}
+
+
+def replay(calls, kernel_fn):
+    """Replay every captured call through ``kernel_fn``."""
+    return [
         canonical_rows(kernel_fn(cand, offs, rows, adjacency))
         for cand, offs, rows, adjacency in calls
     ]
-    return results
 
 
-def test_tier_replay_parity_and_compiled_gate(benchmark):
-    """Every available tier reproduces the survey's kernel calls exactly;
-    where numba is installed the compiled tier must beat columnar >= 2x."""
+def test_replay_parity(benchmark):
+    """The merge-path row kernel reproduces the scalar reference exactly on
+    every row-kernel call of a real columnar survey."""
     dataset = load_dataset("rmat-weak")
     calls, triangles = capture_row_calls(dataset)
     assert calls, "columnar survey produced no row-kernel calls"
 
-    tiers = available_kernel_tiers()
-    assert "columnar" in tiers and "scalar" in tiers
-
     def run_all():
         out = {}
-        for tier in tiers:
-            replay(calls, tier)  # warm-up (JIT compile for the compiled tier)
-            seconds = best_seconds(lambda: replay(calls, tier), repeats=3, iterations=1)
-            out[tier] = (seconds, replay(calls, tier))
+        for label, kernel_fn in REPLAY_KERNELS.items():
+            seconds = best_seconds(
+                lambda: replay(calls, kernel_fn), repeats=3, iterations=1
+            )
+            out[label] = (seconds, replay(calls, kernel_fn))
         return out
 
     results = benchmark.pedantic(run_all, rounds=1, iterations=1)
-    reference = results["scalar"][1]
-    for tier in tiers:
-        assert results[tier][1] == reference, f"tier {tier} diverged from scalar"
+    assert results["row_kernel"][1] == results["scalar_reference"][1], (
+        "merge-path row kernel diverged from the scalar reference"
+    )
 
-    columnar_s = results["columnar"][0]
+    row_s = results["row_kernel"][0]
     trajectory = {
         "dataset": dataset.name,
         "nodes": NODES,
         "row_kernel_calls": len(calls),
         "triangles": triangles,
-        "numba_available": NUMBA_AVAILABLE,
-        "compiled_resolves_to": resolve_kernel_tier("compiled"),
-        "gate": COMPILED_SPEEDUP_GATE,
-        "tiers": {
-            tier: {
+        "replay": {
+            label: {
                 "replay_seconds": seconds,
-                "speedup_vs_columnar": columnar_s / seconds,
+                "speedup_vs_row_kernel": row_s / seconds,
             }
-            for tier, (seconds, _results) in results.items()
+            for label, (seconds, _results) in results.items()
         },
     }
     emit(
         format_table(
             [
                 {
-                    "tier": tier,
+                    "kernel": label,
                     "replay seconds": round(seconds, 4),
-                    "vs columnar": f"{columnar_s / seconds:.2f}x",
+                    "vs row kernel": f"{row_s / seconds:.2f}x",
                 }
-                for tier, (seconds, _results) in results.items()
+                for label, (seconds, _results) in results.items()
             ],
-            title=f"Kernel-tier replay — {len(calls)} captured row-kernel calls",
+            title=f"Row-kernel replay — {len(calls)} captured row-kernel calls",
         )
     )
     emit_json("bench_intersection_kernels", trajectory)
-    benchmark.extra_info.update(
-        {"tiers": list(tiers), "numba_available": NUMBA_AVAILABLE}
-    )
-
-    if not NUMBA_AVAILABLE:
-        assert "compiled" not in tiers
-        assert resolve_kernel_tier("compiled") == "columnar"
-        pytest.skip("numba unavailable: compiled tier downgrades to columnar")
-    compiled_speedup = columnar_s / results["compiled"][0]
-    assert compiled_speedup >= COMPILED_SPEEDUP_GATE, (
-        f"compiled tier {compiled_speedup:.2f}x over columnar on the replayed "
-        f"survey workload, below the {COMPILED_SPEEDUP_GATE}x gate"
-    )
+    benchmark.extra_info["row_kernel_calls"] = len(calls)

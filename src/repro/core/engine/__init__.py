@@ -64,7 +64,6 @@ from .request import (
     TriangleCallback,
     split_backend_selector,
     split_engine_selector,
-    split_execution_selector,
 )
 from .driver import resolve_batch_callback
 from .program import SurveyProgram, execute_program
@@ -87,7 +86,6 @@ __all__ = [
     "backend_names",
     "split_engine_selector",
     "split_backend_selector",
-    "split_execution_selector",
     "validate_request",
     "resolve_batch_callback",
     "execute_program",

@@ -29,11 +29,7 @@ from ...graph.dodgr import CSRAdjacency, DODGraph, entry_key
 from ...graph.ooc import stage_send_columns
 from ...graph.metadata import TriangleBatch, TriangleMetadata
 from ...runtime.serialization import serialized_size, uvarint_size_array
-from ..intersection import (
-    INTERSECTION_KERNELS,
-    RowAdjacency,
-    row_kernel as select_row_kernel,
-)
+from ..intersection import INTERSECTION_KERNELS, ROW_KERNELS, RowAdjacency
 from .request import TriangleCallback
 
 __all__ = [
@@ -408,20 +404,12 @@ def make_push_intersect_handler(
     kernel: str,
     callback: Optional["TriangleCallback"],
     per_triangle_compute: int,
-    kernel_tier: Optional[str] = None,
 ):
-    """Build the push-phase intersect handler of the columnar or legacy engine.
-
-    ``kernel_tier`` picks the row kernel implementation tier
-    (``compiled``/``columnar``/``scalar``; ``None`` = best available) —
-    every tier is interchangeable under the equivalence contract, so this
-    only changes host speed.  The legacy engine has a single (scalar)
-    implementation and ignores the tier.
-    """
+    """Build the push-phase intersect handler of the columnar or legacy engine."""
     if columnar:
         return make_columnar_intersect_handler(
             dodgr,
-            select_row_kernel(kernel, kernel_tier),
+            ROW_KERNELS[kernel],
             callback,
             resolve_batch_callback(callback),
             per_triangle_compute,

@@ -29,7 +29,7 @@ import numpy as np
 from ...graph.dodgr import DODGraph, entry_key
 from ...graph.metadata import TriangleBatch, TriangleMetadata
 from ...runtime.serialization import uvarint_size
-from ..intersection import INTERSECTION_KERNELS, row_kernel as select_row_kernel
+from ..intersection import INTERSECTION_KERNELS, ROW_KERNELS
 from .driver import (
     candidate_key,
     deliver_batch,
@@ -183,17 +183,12 @@ def make_pull_handler(
     callback: Optional["TriangleCallback"],
     per_triangle_compute: int,
     pivots_by_target,
-    kernel_tier: Optional[str] = None,
 ):
-    """Build the requester-side pull handler of the columnar or legacy engine.
-
-    ``kernel_tier`` selects the row kernel implementation tier, as in
-    :func:`~repro.core.engine.driver.make_push_intersect_handler`.
-    """
+    """Build the requester-side pull handler of the columnar or legacy engine."""
     if columnar:
         return _make_columnar_pull_handler(
             dodgr,
-            select_row_kernel(kernel, kernel_tier),
+            ROW_KERNELS[kernel],
             callback,
             resolve_batch_callback(callback),
             per_triangle_compute,

@@ -24,7 +24,7 @@ def build_push_program(request: SurveyRequest, spec: EngineSpec) -> SurveyProgra
     the process backend, before it forks), so handler ids and the serialized
     size of every message are identical everywhere.
     """
-    validate_request(request, spec)
+    validate_request(request)
     dodgr = request.dodgr
     if request.storage is not None:
         dodgr.configure_storage(request.storage)
@@ -36,7 +36,6 @@ def build_push_program(request: SurveyRequest, spec: EngineSpec) -> SurveyProgra
             request.kernel,
             request.callback,
             request.per_triangle_compute(),
-            kernel_tier=request.kernel_tier,
         )
     )
 

@@ -42,7 +42,7 @@ __all__ = ["build_push_pull_program", "run_push_pull_survey"]
 
 def build_push_pull_program(request: SurveyRequest, spec: EngineSpec) -> SurveyProgram:
     """Compile the Push-Pull survey to a three-phase :class:`SurveyProgram`."""
-    validate_request(request, spec)
+    validate_request(request)
     dodgr = request.dodgr
     if request.storage is not None:
         dodgr.configure_storage(request.storage)
@@ -94,8 +94,7 @@ def build_push_pull_program(request: SurveyRequest, spec: EngineSpec) -> SurveyP
     _h_advise = world.register_handler(_advise_push_handler)
     h_intersect = world.register_handler(
         make_push_intersect_handler(
-            spec.columnar, dodgr, request.kernel, callback, per_triangle_compute,
-            kernel_tier=request.kernel_tier,
+            spec.columnar, dodgr, request.kernel, callback, per_triangle_compute
         )
     )
     # Occupies the legacy pull handler's registration slot, so the id every
@@ -108,7 +107,6 @@ def build_push_pull_program(request: SurveyRequest, spec: EngineSpec) -> SurveyP
             callback,
             per_triangle_compute,
             pivots_by_target,
-            kernel_tier=request.kernel_tier,
         )
     )
     if batched_proposals:

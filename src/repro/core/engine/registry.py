@@ -24,7 +24,7 @@ import difflib
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, Tuple
 
-from .request import EngineConfig
+from .request import EngineConfig, SurveyRequest
 
 __all__ = [
     "EngineSpec",
@@ -48,14 +48,6 @@ class EngineSpec:
 
     name: str
     description: str
-    #: Kernel tiers this engine's drivers can run
-    #: (:data:`repro.core.intersection.KERNEL_TIERS` order).  The columnar
-    #: engine's row kernels support every tier; the legacy scalar driver
-    #: only the scalar one.  Requesting a declared-but-unavailable tier (no
-    #: numba wheel) downgrades along ``compiled -> columnar -> scalar``;
-    #: requesting an *undeclared* tier is a pre-run error
-    #: (:func:`validate_request`).
-    kernel_tiers: Tuple[str, ...] = ("scalar",)
 
     @property
     def columnar(self) -> bool:
@@ -143,42 +135,35 @@ def resolve_engine(engine: Any = None) -> EngineSpec:
     return spec
 
 
-def validate_request(request: Any, spec: EngineSpec) -> None:
+def validate_request(request: SurveyRequest) -> None:
     """Reject unsupported execution-axis combinations before anything runs.
 
-    Called by every engine runner on the resolved ``(request, spec)`` pair;
-    raising here means no handlers were registered, no phases begun, no
+    Called by the engine runners and the incremental entry points before
+    they register a handler; raising here means no handlers were registered, no phases begun, no
     segment files created.  Two axes are checked:
 
-    * ``kernel_tier`` — must name a known tier
-      (:data:`repro.core.intersection.KERNEL_TIERS`) that the engine
-      *declares* (``spec.kernel_tiers``).  Declared-but-unavailable tiers
-      (no numba wheel) are fine: they downgrade along the
-      ``compiled -> columnar -> scalar`` chain at kernel-lookup time.
+    * ``kernel`` — must name a registered intersection kernel
+      (:data:`repro.core.intersection.INTERSECTION_KERNELS`, the same names
+      as :data:`~repro.core.intersection.ROW_KERNELS`).
     * ``storage`` — must be a known mode (or a
       :class:`~repro.graph.ooc.StorageConfig`); ``"mmap"`` is rejected on
       the process backend until segments ship by path to the workers.
     """
     from ...graph.ooc import StorageConfig, resolve_storage
-    from ..intersection import KERNEL_TIERS
+    from ..intersection import INTERSECTION_KERNELS
 
-    tier = getattr(request, "kernel_tier", None)
-    if tier is not None and tier != "auto":
-        if tier not in KERNEL_TIERS:
-            raise ValueError(
-                f"unknown kernel tier {tier!r}; known: {KERNEL_TIERS}"
-                f"{suggest_name(tier, KERNEL_TIERS)}"
-            )
-        if tier not in spec.kernel_tiers:
-            raise ValueError(
-                f"engine {spec.name!r} does not support kernel tier {tier!r}; "
-                f"declared tiers: {spec.kernel_tiers}"
-            )
-    storage = getattr(request, "storage", None)
+    kernel = request.kernel
+    if kernel not in INTERSECTION_KERNELS:
+        known = tuple(INTERSECTION_KERNELS)
+        raise ValueError(
+            f"unknown intersection kernel {kernel!r}; known: {known}"
+            f"{suggest_name(kernel, known)}"
+        )
+    storage = request.storage
     mode = resolve_storage(
         storage.mode if isinstance(storage, StorageConfig) else storage
     )
-    if mode == "mmap" and resolve_backend(getattr(request, "backend", None)) == "process":
+    if mode == "mmap" and resolve_backend(request.backend) == "process":
         raise ValueError(
             "storage='mmap' is not supported on backend='process': memmap "
             "segment files are not yet shipped by path to worker processes; "
@@ -210,7 +195,6 @@ _REGISTRY: Dict[str, EngineSpec] = {
                 "dry-run proposals, TriangleBatch delivery to batch reducers, "
                 "columnar pull phase."
             ),
-            kernel_tiers=("compiled", "columnar", "scalar"),
         ),
     )
 }

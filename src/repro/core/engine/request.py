@@ -34,7 +34,6 @@ __all__ = [
     "SurveyResult",
     "split_engine_selector",
     "split_backend_selector",
-    "split_execution_selector",
 ]
 
 #: Type of a survey callback: ``callback(ctx, tri)`` executed on the rank
@@ -86,12 +85,6 @@ class EngineConfig:
         Worker-process count for the process backend; ``None`` keeps the
         entry point's ``workers=`` argument (default: capped at four, the
         host's core count and the rank count).
-    kernel_tier:
-        Intersection kernel tier (``"compiled"``, ``"columnar"``,
-        ``"scalar"`` or ``"auto"``; see
-        :data:`repro.core.intersection.KERNEL_TIERS`).  ``None``/``"auto"``
-        keeps the engine's best available tier; unavailable tiers downgrade
-        along the declared ``compiled -> columnar -> scalar`` chain.
     storage:
         CSR storage mode (``"resident"`` or ``"mmap"``), or a
         :class:`repro.graph.ooc.StorageConfig` pinning a memory budget and
@@ -104,7 +97,6 @@ class EngineConfig:
     callback_compute_units: Optional[int] = None
     backend: Optional[str] = None
     workers: Optional[int] = None
-    kernel_tier: Optional[str] = None
     storage: Optional[Any] = None
 
     @classmethod
@@ -147,40 +139,24 @@ def split_engine_selector(
 
 
 def split_backend_selector(
-    engine: Any, backend: Optional[str], workers: Optional[int]
-) -> Tuple[Optional[str], Optional[int]]:
-    """Resolve ``backend=``/``workers=`` keywords against an engine selector.
+    engine: Any, backend: Optional[str], workers: Optional[int], storage: Any = None
+) -> Tuple[Optional[str], Optional[int], Any]:
+    """Resolve ``backend=``/``workers=``/``storage=`` against an engine selector.
 
     Mirrors :func:`split_engine_selector`: when ``engine`` is an
-    :class:`EngineConfig` its *set* backend fields win over the entry
-    point's loose keywords, so one config object can pin the whole
-    execution strategy (engine, kernel, backend, worker count) everywhere
-    an ``engine=`` keyword travels.
+    :class:`EngineConfig` its *set* backend and storage fields win over the
+    entry point's loose keywords, so one config object can pin the whole
+    execution strategy (engine, kernel, backend, worker count, storage)
+    everywhere an ``engine=`` keyword travels.
     """
     if isinstance(engine, EngineConfig):
         if engine.backend is not None:
             backend = engine.backend
         if engine.workers is not None:
             workers = engine.workers
-    return backend, workers
-
-
-def split_execution_selector(
-    engine: Any, kernel_tier: Optional[str], storage: Any
-) -> Tuple[Optional[str], Any]:
-    """Resolve ``kernel_tier=``/``storage=`` keywords against an engine selector.
-
-    Mirrors :func:`split_backend_selector` for the execution axes added by
-    the out-of-core work: when ``engine`` is an :class:`EngineConfig` its
-    *set* ``kernel_tier``/``storage`` fields win over the entry point's
-    loose keywords.
-    """
-    if isinstance(engine, EngineConfig):
-        if engine.kernel_tier is not None:
-            kernel_tier = engine.kernel_tier
         if engine.storage is not None:
             storage = engine.storage
-    return kernel_tier, storage
+    return backend, workers, storage
 
 
 @dataclass
@@ -205,8 +181,6 @@ class SurveyRequest:
     backend: str = "simulated"
     #: Worker-process count for the process backend (``None`` = auto).
     workers: Optional[int] = None
-    #: Intersection kernel tier (``None``/``"auto"`` = best available).
-    kernel_tier: Optional[str] = None
     #: CSR storage: ``None``/``"resident"``, ``"mmap"``, or a
     #: :class:`repro.graph.ooc.StorageConfig`.
     storage: Optional[Any] = None

@@ -86,12 +86,13 @@ from ..graph.dodgr import DODGraph
 from .engine import (
     DEFAULT_CALLBACK_COMPUTE_UNITS,
     DELTA_PUSH_PHASE,
-    EngineConfig,
+    SurveyRequest,
     TriangleCallback,
     resolve_batch_callback,
     resolve_engine,
     split_backend_selector,
     split_engine_selector,
+    validate_request,
 )
 from .engine.delta import (
     drive_columnar_delta,
@@ -101,7 +102,7 @@ from .engine.delta import (
     new_source_vertices,
 )
 from .engine.driver import legacy_push_payload_overhead
-from .intersection import INTERSECTION_KERNELS, row_kernel as select_row_kernel
+from .intersection import INTERSECTION_KERNELS, ROW_KERNELS
 from .results import SurveyReport
 
 __all__ = [
@@ -121,7 +122,6 @@ def incremental_triangle_survey(
     phase_name: str = DELTA_PUSH_PHASE,
     callback_compute_units: int = DEFAULT_CALLBACK_COMPUTE_UNITS,
     engine=None,
-    kernel_tier: Optional[str] = None,
 ) -> SurveyReport:
     """Survey exactly the triangles that contain at least one edge of ``delta``.
 
@@ -144,10 +144,6 @@ def incremental_triangle_survey(
         resolved against the engine registry: ``"columnar"`` (the default)
         or ``"legacy"`` (scalar reference).  Both produce identical triangles, reducer
         deliveries and communication counters — see the module docstring.
-    kernel_tier:
-        Row-kernel implementation tier for the columnar engine
-        (``"compiled"``/``"columnar"``/``"scalar"``; ``None``/``"auto"`` =
-        best available); the legacy engine has only its scalar form.
 
     Remaining parameters match :func:`~repro.core.survey.triangle_survey_push`.
     Returns a :class:`~repro.core.results.SurveyReport` whose ``triangles``/
@@ -156,7 +152,7 @@ def incremental_triangle_survey(
     if delta.dodgr is not dodgr:
         raise ValueError("delta was applied against a different DODGraph")
     world = dodgr.world
-    backend, _workers = split_backend_selector(engine, None, None)
+    backend = split_backend_selector(engine, None, None)[0]
     if backend not in (None, "simulated"):
         from ..runtime.backend import UnsupportedBackendError
 
@@ -166,12 +162,11 @@ def incremental_triangle_survey(
             "process backend shards.  Run full surveys on backend='process' "
             "and delta batches on the default backend."
         )
-    if isinstance(engine, EngineConfig) and engine.kernel_tier is not None:
-        kernel_tier = engine.kernel_tier
     engine, kernel, callback_compute_units = split_engine_selector(
         engine, kernel, callback_compute_units
     )
     columnar = resolve_engine(engine).columnar
+    validate_request(SurveyRequest(dodgr, kernel=kernel))
     per_triangle_compute = callback_compute_units if callback is not None else 0
     if reset_stats:
         world.reset_stats()
@@ -179,7 +174,7 @@ def incremental_triangle_survey(
     # Handler registration order is fixed (full first, new second) in both
     # engines, so handler ids — and every accounted message size — match.
     if columnar:
-        row_kernel = select_row_kernel(kernel, kernel_tier)
+        row_kernel = ROW_KERNELS[kernel]
         batch_callback = resolve_batch_callback(callback)
         h_full = world.register_handler(
             make_delta_columnar_handler(
@@ -336,6 +331,13 @@ class StreamingSurvey:
     ) -> None:
         if window_batches is not None and window_batches < 1:
             raise ValueError("window_batches must be at least 1")
+        # Reject a bad selector here: ingest() applies its batch before the
+        # delta survey runs, so a late error would consume the batch.
+        engine_name, kernel_name, _ = split_engine_selector(
+            engine, kernel, callback_compute_units
+        )
+        resolve_engine(engine_name)
+        validate_request(SurveyRequest(None, kernel=kernel_name))
         self.world = world
         self.reducer_factory = reducer_factory
         self.window_batches = window_batches

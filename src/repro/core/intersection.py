@@ -30,7 +30,7 @@ accounting of a columnar survey is identical to the legacy per-wedge path.
 
 from __future__ import annotations
 
-from typing import Any, Callable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -46,12 +46,6 @@ __all__ = [
     "hash_rows",
     "binary_search_rows",
     "ROW_KERNELS",
-    "KERNEL_TIERS",
-    "KERNEL_TIER_FALLBACK",
-    "ROW_KERNEL_TIERS",
-    "available_kernel_tiers",
-    "resolve_kernel_tier",
-    "row_kernel",
 ]
 
 #: One match: (index into the candidate list, index into the adjacency list).
@@ -454,89 +448,3 @@ ROW_KERNELS = {
     "hash": hash_rows,
 }
 
-
-# ---------------------------------------------------------------------------
-# Kernel tiers
-# ---------------------------------------------------------------------------
-#
-# The row kernels above are the *columnar* tier: NumPy array pipelines with
-# a scalar small-input escape hatch.  Two more tiers share their exact
-# contract (identical matches, identical aggregate comparison counts):
-#
-# * ``scalar``   — the reference loop (:func:`_rows_via_scalar`) applied
-#   unconditionally; always available.
-# * ``compiled`` — numba-jitted merge loops (:mod:`.intersection_compiled`),
-#   registered only when numba imports; requesting it without numba follows
-#   the declared fallback chain ``compiled -> columnar -> scalar`` silently.
-#
-# Tier selection travels as ``kernel_tier`` on
-# :class:`~repro.core.engine.request.EngineConfig`/``SurveyRequest`` and is
-# resolved here, in one place, for every engine.
-
-#: Kernel tiers in preference order (fastest first).
-KERNEL_TIERS = ("compiled", "columnar", "scalar")
-
-#: Declared downgrade chain: the tier used when the requested one is
-#: unavailable (``None`` terminates the chain).
-KERNEL_TIER_FALLBACK = {"compiled": "columnar", "columnar": "scalar", "scalar": None}
-
-
-def _scalar_tier_rows(name: str):
-    scalar = INTERSECTION_KERNELS[name]
-
-    def row_kernel_scalar(candidate_keys, offsets, seg_rows, adjacency):
-        return _rows_via_scalar(scalar, candidate_keys, offsets, seg_rows, adjacency)
-
-    row_kernel_scalar.__name__ = f"{name}_rows_scalar"
-    return row_kernel_scalar
-
-
-#: Tier -> {kernel name -> row kernel}.  The ``compiled`` entry is added at
-#: the bottom of this module when numba is importable.
-ROW_KERNEL_TIERS = {
-    "columnar": ROW_KERNELS,
-    "scalar": {name: _scalar_tier_rows(name) for name in INTERSECTION_KERNELS},
-}
-
-
-def available_kernel_tiers() -> Tuple[str, ...]:
-    """The tiers usable in this environment, in preference order.
-
-    ``columnar`` and ``scalar`` are always listed; ``compiled`` appears
-    only when numba imported at module load.
-    """
-    return tuple(tier for tier in KERNEL_TIERS if tier in ROW_KERNEL_TIERS)
-
-
-def resolve_kernel_tier(tier: Optional[str] = None) -> str:
-    """Normalise a ``kernel_tier`` selector to an available tier name.
-
-    ``None`` (and ``"auto"``) select the columnar tier — today's default,
-    so existing callers see bit-identical behaviour.  A named tier must be
-    one of :data:`KERNEL_TIERS`; if it is not available here it downgrades
-    along :data:`KERNEL_TIER_FALLBACK` (results are identical either way —
-    the cross-tier property suite pins the contract).
-    """
-    if tier is None or tier == "auto":
-        return "columnar"
-    if tier not in KERNEL_TIERS:
-        raise ValueError(
-            f"unknown kernel tier {tier!r}; known: {KERNEL_TIERS}"
-        )
-    available = available_kernel_tiers()
-    while tier is not None and tier not in available:
-        tier = KERNEL_TIER_FALLBACK[tier]
-    return tier if tier is not None else "scalar"
-
-
-def row_kernel(name: str, tier: Optional[str] = None):
-    """The row-batch kernel ``name`` at (resolved) ``tier``."""
-    return ROW_KERNEL_TIERS[resolve_kernel_tier(tier)][name]
-
-
-# Import last: intersection_compiled imports this module's result classes,
-# and its kernels join the tier table only when numba is present.
-from . import intersection_compiled as _compiled  # noqa: E402
-
-if _compiled.NUMBA_AVAILABLE:  # pragma: no cover - requires a numba install
-    ROW_KERNEL_TIERS["compiled"] = _compiled.COMPILED_ROW_KERNELS

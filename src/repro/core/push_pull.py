@@ -53,7 +53,6 @@ from .engine import (
     resolve_engine,
     split_backend_selector,
     split_engine_selector,
-    split_execution_selector,
 )
 from .engine.push_pull import run_push_pull_survey
 from .results import SurveyReport
@@ -77,7 +76,6 @@ def triangle_survey_push_pull(
     engine=None,
     backend: Optional[str] = None,
     workers: Optional[int] = None,
-    kernel_tier: Optional[str] = None,
     storage=None,
 ) -> SurveyReport:
     """Run the Push-Pull triangle survey over ``dodgr``.
@@ -118,10 +116,6 @@ def triangle_survey_push_pull(
         set ``backend`` field overrides this keyword.
     workers:
         Worker-process count for ``backend="process"`` (``None`` = auto).
-    kernel_tier:
-        Intersection kernel tier (``"compiled"``/``"columnar"``/``"scalar"``;
-        ``None``/``"auto"`` = best available, downgrading along
-        ``compiled -> columnar -> scalar`` when a tier is unavailable).
     storage:
         CSR storage mode: ``None``/``"resident"`` or ``"mmap"`` (tracked
         memmap segments), or a :class:`~repro.graph.ooc.StorageConfig`;
@@ -130,8 +124,9 @@ def triangle_survey_push_pull(
     The returned report carries the three-phase breakdown (dry run / push /
     pull) and the number of pulled adjacency lists used for Table 3.
     """
-    backend, workers = split_backend_selector(engine, backend, workers)
-    kernel_tier, storage = split_execution_selector(engine, kernel_tier, storage)
+    backend, workers, storage = split_backend_selector(
+        engine, backend, workers, storage
+    )
     engine, kernel, callback_compute_units = split_engine_selector(
         engine, kernel, callback_compute_units
     )
@@ -146,7 +141,6 @@ def triangle_survey_push_pull(
         callback_compute_units=callback_compute_units,
         backend=resolve_backend(backend),
         workers=workers,
-        kernel_tier=kernel_tier,
         storage=storage,
     )
     return run_push_pull_survey(request, spec).report

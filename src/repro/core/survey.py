@@ -51,7 +51,6 @@ from .engine import (
     resolve_engine,
     split_backend_selector,
     split_engine_selector,
-    split_execution_selector,
 )
 from .engine.push import run_push_survey
 from .results import SurveyReport
@@ -82,7 +81,6 @@ def triangle_survey_push(
     engine=None,
     backend: Optional[str] = None,
     workers: Optional[int] = None,
-    kernel_tier: Optional[str] = None,
     storage=None,
 ) -> SurveyReport:
     """Run the Push-Only triangle survey over ``dodgr``.
@@ -128,20 +126,15 @@ def triangle_survey_push(
     workers:
         Worker-process count for ``backend="process"`` (``None`` = auto:
         capped at four, the host's cores and the rank count).
-    kernel_tier:
-        Intersection kernel tier (``"compiled"``, ``"columnar"``,
-        ``"scalar"``; ``None``/``"auto"`` = the engine's best available).
-        Tiers are interchangeable under the equivalence contract —
-        unavailable ones (no numba wheel) downgrade along
-        ``compiled -> columnar -> scalar``.
     storage:
         CSR storage mode: ``None``/``"resident"`` (in-memory, the default)
         or ``"mmap"`` (columns spilled to tracked memmap segments), or a
         :class:`~repro.graph.ooc.StorageConfig` pinning a memory budget and
         segment directory.  ``"mmap"`` requires the simulated backend.
     """
-    backend, workers = split_backend_selector(engine, backend, workers)
-    kernel_tier, storage = split_execution_selector(engine, kernel_tier, storage)
+    backend, workers, storage = split_backend_selector(
+        engine, backend, workers, storage
+    )
     engine, kernel, callback_compute_units = split_engine_selector(
         engine, kernel, callback_compute_units
     )
@@ -157,7 +150,6 @@ def triangle_survey_push(
         callback_compute_units=callback_compute_units,
         backend=resolve_backend(backend),
         workers=workers,
-        kernel_tier=kernel_tier,
         storage=storage,
     )
     return run_push_survey(request, spec).report

@@ -11,6 +11,8 @@ survey algorithms, all three kernels, and against the NetworkX oracle.
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 
 from repro.baselines.networkx_ref import triangle_count_nx
@@ -31,12 +33,13 @@ def path_graph(n: int) -> GeneratedGraph:
 
 #: The columnar engine's distinct code paths, each held to legacy parity:
 #: production (small row intersections routed through the scalar
-#: reference), the ``scalar`` kernel tier, the NumPy row pipeline forced for
-#: every input, and out-of-core ``mmap`` CSR storage with the candidate
-#: streams cut into the smallest chunks the budget logic allows.
+#: reference), the scalar reference forced for every row intersection, the
+#: NumPy row pipeline forced for every input, and out-of-core ``mmap`` CSR
+#: storage with the candidate streams cut into the smallest chunks the
+#: budget logic allows.
 COLUMNAR_PATHS = [
     "columnar",
-    "columnar-scalar-tier",
+    "columnar-scalar-rows",
     "columnar-vectorized",
     "columnar-mmap-chunked",
 ]
@@ -50,8 +53,11 @@ def engine(request, monkeypatch, tmp_path):
     file an ``mmap`` run spilled.
     """
     selector = "columnar"
-    if request.param == "columnar-scalar-tier":
-        selector = EngineConfig(engine="columnar", kernel_tier="scalar")
+    if request.param == "columnar-scalar-rows":
+        monkeypatch.setattr("repro.core.intersection._SCALAR_BATCH_CUTOFF", sys.maxsize)
+        monkeypatch.setattr(
+            "repro.core.intersection._SCALAR_ROW_SEGMENT_CUTOFF", sys.maxsize
+        )
     elif request.param == "columnar-vectorized":
         monkeypatch.setattr("repro.core.intersection._SCALAR_BATCH_CUTOFF", -1)
     elif request.param == "columnar-mmap-chunked":

@@ -17,7 +17,10 @@ from repro.core.engine import (
     split_engine_selector,
 )
 from repro.core.engine import registry as registry_module
-from repro.graph import DODGraph, community_host_graph, serial_triangle_count
+from repro.core.incremental import StreamingSurvey, incremental_triangle_survey
+from repro.graph import DODGraph, community_host_graph
+from repro.graph.delta import DeltaBuffer
+from repro.graph.distributed_graph import DistributedGraph
 from repro.graph.generators import erdos_renyi
 from repro.graph.ooc import active_segment_paths
 from repro.runtime import World, active_segment_names
@@ -26,6 +29,13 @@ from repro.runtime import World, active_segment_names
 def build_dodgr(generated, nranks):
     world = World(nranks)
     return world, DODGraph.build(generated.to_distributed(world), mode="bulk")
+
+
+def applied_triangle_delta(world):
+    """One applied edge batch holding a single triangle."""
+    buffer = DeltaBuffer(world)
+    buffer.stage_edges([(1, 2, 1.0), (2, 3, 2.0), (3, 1, 3.0)])
+    return buffer.apply(DistributedGraph(world, name="delta"))
 
 
 class TestRegistry:
@@ -173,34 +183,56 @@ class TestEngineConfig:
 class TestValidateRequest:
     """Unsupported execution-axis combinations fail before anything runs."""
 
+    @pytest.mark.parametrize("engine", ["legacy", "columnar"])
     @pytest.mark.parametrize(
-        "engine,tier",
-        [
-            ("legacy", "scalar"),
-            ("legacy", "auto"),
-            ("columnar", "scalar"),
-            ("columnar", "columnar"),
-            ("columnar", "compiled"),
-            ("columnar", "auto"),
-        ],
+        "survey", [triangle_survey_push, triangle_survey_push_pull]
     )
-    def test_declared_tiers_run(self, small_er, engine, tier):
-        _, dodgr = build_dodgr(small_er, 4)
-        report = triangle_survey_push(dodgr, engine=engine, kernel_tier=tier)
-        assert report.triangles == serial_triangle_count(small_er.edges)
-
-    @pytest.mark.parametrize("tier", ["columnar", "compiled"])
-    def test_undeclared_tier_rejected_before_running(self, small_er, tier):
+    def test_unknown_kernel_rejected_before_running(self, small_er, survey, engine):
         world, dodgr = build_dodgr(small_er, 4)
         handlers = len(world.registry)
-        with pytest.raises(ValueError, match="does not support kernel tier"):
-            triangle_survey_push(dodgr, engine="legacy", kernel_tier=tier)
+        with pytest.raises(ValueError, match="did you mean 'merge_path'"):
+            survey(dodgr, kernel="merge", engine=engine)
         assert len(world.registry) == handlers
 
-    def test_unknown_tier_suggests(self, small_er):
-        _, dodgr = build_dodgr(small_er, 4)
-        with pytest.raises(ValueError, match="did you mean 'scalar'"):
-            triangle_survey_push(dodgr, engine="columnar", kernel_tier="scaler")
+    @pytest.mark.parametrize("engine", ["legacy", "columnar"])
+    def test_unknown_kernel_rejected_before_incremental_survey(self, engine):
+        world = World(4)
+        applied = applied_triangle_delta(world)
+        world.barrier()  # a counter that reset_stats() would clear
+        handlers = len(world.registry)
+        with pytest.raises(ValueError, match="did you mean 'merge_path'"):
+            incremental_triangle_survey(
+                applied.dodgr, applied, None, kernel="merge", engine=engine
+            )
+        assert len(world.registry) == handlers
+        assert world.stats.barriers == 1
+
+    @pytest.mark.parametrize(
+        "selector,message",
+        [
+            (dict(kernel="merge"), "did you mean 'merge_path'"),
+            (dict(engine=EngineConfig(kernel="merge")), "did you mean 'merge_path'"),
+            (dict(engine="columnr"), "did you mean 'columnar'"),
+        ],
+        ids=["kernel", "config-kernel", "engine"],
+    )
+    def test_streaming_survey_rejects_bad_selector_at_construction(
+        self, selector, message
+    ):
+        world = World(4)
+        handlers = len(world.registry)
+        with pytest.raises(ValueError, match=message):
+            StreamingSurvey(world, TriangleCounter, **selector)
+        assert len(world.registry) == handlers
+
+    def test_kernel_tier_keyword_is_gone(self):
+        world = World(4)
+        applied = applied_triangle_delta(world)
+        for survey in (triangle_survey, triangle_survey_push, triangle_survey_push_pull):
+            with pytest.raises(TypeError, match="kernel_tier"):
+                survey(applied.dodgr, kernel_tier="scalar")
+        with pytest.raises(TypeError, match="kernel_tier"):
+            incremental_triangle_survey(applied.dodgr, applied, kernel_tier="scalar")
 
     @pytest.mark.parametrize(
         "survey", [triangle_survey_push, triangle_survey_push_pull]

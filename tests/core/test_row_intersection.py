@@ -14,6 +14,7 @@ import random
 import numpy
 import pytest
 
+from repro.core import intersection
 from repro.core.intersection import (
     INTERSECTION_KERNELS,
     ROW_KERNELS,
@@ -168,3 +169,74 @@ class TestRowResultShape:
             merge_path_rows([1, 2, 3], [0, 2], [0], adjacency)
         with pytest.raises(ValueError):
             ROW_KERNELS["hash"]([1, 2, 3], [1, 3], [0], adjacency)
+
+
+class TestScalarRouting:
+    """Each kernel name has one row implementation, and it routes by size.
+
+    ``merge_path_rows`` and ``hash_rows`` hand a call to
+    ``_rows_via_scalar`` only when both the candidate count and the segment
+    count are at or below their cutoffs; ``binary_search_rows`` always
+    does.  Either way the result is the scalar reference.
+    """
+
+    def test_row_kernels_cover_every_kernel_name(self):
+        assert set(ROW_KERNELS) == set(INTERSECTION_KERNELS)
+
+    #: (shape id, segment count, candidates per segment) relative to the
+    #: shipped cutoffs, and whether merge_path/hash take the scalar route.
+    SHAPES = [
+        ("small", 2, 3, True),
+        ("at-both-cutoffs", 4, 24, True),
+        ("above-candidate-cutoff", 1, 97, False),
+        ("above-segment-cutoff", 5, 1, False),
+    ]
+
+    @pytest.mark.parametrize("name", KERNEL_IDS)
+    @pytest.mark.parametrize(
+        "n_segments,per_segment,scalar_route",
+        [shape[1:] for shape in SHAPES],
+        ids=[shape[0] for shape in SHAPES],
+    )
+    def test_route_follows_cutoffs(
+        self, name, n_segments, per_segment, scalar_route, monkeypatch
+    ):
+        assert intersection._SCALAR_BATCH_CUTOFF == 96
+        assert intersection._SCALAR_ROW_SEGMENT_CUTOFF == 4
+        order_count = 400
+        segments = [
+            [3 * k + s for k in range(per_segment)] for s in range(n_segments)
+        ]
+        rows = [list(range(0, order_count, 2)), list(range(0, order_count, 5))]
+        seg_rows = [s % len(rows) for s in range(n_segments)]
+        flat, offsets = flatten(segments)
+        keys, indptr = flatten(rows)
+        adjacency = RowAdjacency(
+            numpy.asarray(keys, dtype=numpy.int64),
+            numpy.asarray(indptr, dtype=numpy.int64),
+            order_count,
+        )
+        reference = intersection._rows_via_scalar
+        calls = []
+
+        def spy(*args):
+            calls.append(args[0])
+            return reference(*args)
+
+        monkeypatch.setattr(intersection, "_rows_via_scalar", spy)
+        result = ROW_KERNELS[name](flat, offsets, seg_rows, adjacency)
+        expected = scalar_route or name == "binary_search"
+        assert calls == ([INTERSECTION_KERNELS[name]] if expected else [])
+
+        matches, comparisons = row_scalar_reference(
+            INTERSECTION_KERNELS[name], segments, seg_rows, rows
+        )
+        got = list(
+            zip(
+                (int(s) for s in result.seg),
+                (int(c) for c in result.cand_pos),
+                (int(a) for a in result.adj_pos),
+            )
+        )
+        assert got == matches
+        assert result.comparisons == comparisons

@@ -103,20 +103,6 @@ def test_backend_axis_matches_readme_table():
     )
 
 
-def test_kernel_tier_table_matches_registry():
-    """Mirror of tools/check_engines.py check 5: the README's kernel-tier
-    table and the tier registry agree."""
-    import check_engines
-
-    from repro.core.intersection import KERNEL_TIERS
-
-    documented = check_engines.documented_kernel_tiers(REPO_ROOT / "README.md")
-    assert documented == KERNEL_TIERS, (
-        "README kernel-tier table and KERNEL_TIERS disagree; update the "
-        "table in README.md (or KERNEL_TIERS in src/repro/core/intersection.py)"
-    )
-
-
 def test_storage_table_matches_registry():
     """Mirror of tools/check_engines.py check 5 for the storage axis."""
     import check_engines
@@ -128,6 +114,20 @@ def test_storage_table_matches_registry():
         "README storage table and STORAGES disagree; update the table in "
         "README.md (or STORAGES in src/repro/graph/ooc.py)"
     )
+
+
+def test_kernels_doc_names_every_row_kernel_and_cutoff():
+    """docs/kernels.md documents the one row path: every ROW_KERNELS name
+    and both scalar-route cutoffs it describes exist, and none is missing."""
+    from repro.core import intersection
+
+    text = (REPO_ROOT / "docs" / "kernels.md").read_text()
+    for name in intersection.ROW_KERNELS:
+        assert f"`{name}`" in text, f"docs/kernels.md does not name kernel {name!r}"
+    for constant in ("_SCALAR_BATCH_CUTOFF", "_SCALAR_ROW_SEGMENT_CUTOFF"):
+        assert hasattr(intersection, constant)
+        assert f"`{constant}`" in text, f"docs/kernels.md does not describe {constant}"
+    assert "kernel_tier" not in text, "docs/kernels.md still documents kernel tiers"
 
 
 def test_sweep_engine_axis_matches_registry():

@@ -17,13 +17,15 @@ on a fixed graph every run).
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import triangle_survey_push, triangle_survey_push_pull
 from repro.core.callbacks import LocalTriangleCounter
-from repro.core.engine import EngineConfig, backend_names, engine_names
+from repro.core.engine import backend_names, engine_names
 from repro.graph import DODGraph
 from repro.graph.generators import erdos_renyi, rmat
 from repro.runtime import World, active_segment_names
@@ -101,17 +103,23 @@ def test_process_backend_matches_simulated_oracle(generated, nranks, algorithm):
 
 @pytest.mark.parametrize("algorithm", ["push", "push_pull"])
 @pytest.mark.parametrize(
-    "engine", sorted(engine_names()) + ["columnar-scalar-tier"]
+    "engine", sorted(engine_names()) + ["columnar-scalar-rows"]
 )
-def test_fixed_graph_full_matrix(algorithm, engine):
+def test_fixed_graph_full_matrix(algorithm, engine, monkeypatch):
     """Deterministic full engine × algorithm coverage on one non-trivial
     graph — runs every time, no example budget involved.  The columnar
-    engine also runs on the ``scalar`` kernel tier inside the workers."""
+    engine also runs with every row intersection forced through the scalar
+    reference; the workers fork after the patch, so they inherit it."""
     generated = rmat(6, edge_factor=6, seed=13)
-    if engine == "columnar-scalar-tier":
-        engine = EngineConfig(engine="columnar", kernel_tier="scalar")
-    oracle_panel, oracle = run_backend(generated, 5, algorithm, engine, "simulated")
-    panel, report = run_backend(generated, 5, algorithm, engine, "process")
+    selector = engine
+    if engine == "columnar-scalar-rows":
+        monkeypatch.setattr("repro.core.intersection._SCALAR_BATCH_CUTOFF", sys.maxsize)
+        monkeypatch.setattr(
+            "repro.core.intersection._SCALAR_ROW_SEGMENT_CUTOFF", sys.maxsize
+        )
+        selector = "columnar"
+    oracle_panel, oracle = run_backend(generated, 5, algorithm, selector, "simulated")
+    panel, report = run_backend(generated, 5, algorithm, selector, "process")
     context = f"{engine}/{algorithm} on {generated.name}"
     assert panel == oracle_panel, f"{context}: reducer panels differ"
     assert_reports_match(report, oracle, context)

@@ -1,21 +1,14 @@
-"""Property-based cross-tier kernel equivalence (out-of-core tentpole).
+"""Property-based row-kernel equivalence against the scalar reference.
 
-The kernel-tier layer promises that every tier — ``scalar`` (reference
-loops), ``columnar`` (NumPy pipelines with closed-form comparison replay)
-and ``compiled`` (numba-jitted merge loops) — produces *identical* matches
-and *identical* aggregate comparison counts for every row kernel, on
-arbitrary inputs.  The scalar tier is the oracle; the suite drives every
-registered tier plus the compiled loop bodies directly (they are plain
-Python when numba is absent, so the contract is pinned with or without the
-wheel) over random and adversarial inputs: empty adjacencies, empty
-segments, empty rows, single-element segments, and keys duplicated across
-segments and shared with the adjacency.
-
-A final block pins the downgrade semantics: :mod:`repro.core.intersection_compiled`
-must import cleanly without numba, the ``compiled`` tier must appear in the
-tier tables exactly when :data:`NUMBA_AVAILABLE`, and
-``resolve_kernel_tier("compiled")`` must fall back along the declared
-``compiled -> columnar -> scalar`` chain rather than erroring.
+Every row kernel in :data:`~repro.core.intersection.ROW_KERNELS` promises
+the *identical* matches and the *identical* aggregate comparison count that
+one scalar :data:`~repro.core.intersection.INTERSECTION_KERNELS` call per
+segment produces (:func:`~repro.core.intersection._rows_via_scalar`, the
+oracle).  The suite drives every row kernel over random and adversarial
+inputs — empty adjacencies, empty segments, empty rows, single-element
+segments, and keys duplicated across segments and shared with the
+adjacency — twice: at the production cutoffs (small inputs take the scalar
+route) and with the NumPy pipeline forced for every input.
 """
 
 from __future__ import annotations
@@ -25,18 +18,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import intersection_compiled
+from repro.core import intersection
 from repro.core.intersection import (
     INTERSECTION_KERNELS,
-    KERNEL_TIER_FALLBACK,
-    KERNEL_TIERS,
-    ROW_KERNEL_TIERS,
+    ROW_KERNELS,
     RowAdjacency,
-    available_kernel_tiers,
-    resolve_kernel_tier,
-    row_kernel,
+    _rows_via_scalar,
 )
-from repro.core.intersection_compiled import COMPILED_ROW_KERNELS, NUMBA_AVAILABLE
 
 KERNEL_NAMES = tuple(INTERSECTION_KERNELS)
 
@@ -98,27 +86,26 @@ def row_cases(draw):
     return flat, offsets, seg_rows, adjacency
 
 
-def row_variants(name):
-    variants = {
-        f"tier:{tier}": kernels[name] for tier, kernels in ROW_KERNEL_TIERS.items()
-    }
-    variants["compiled-loops"] = COMPILED_ROW_KERNELS[name]
-    return variants
+def assert_rows_match_reference(name, flat, offsets, seg_rows, adjacency):
+    """Row kernel ``name``, on both routes, reproduces the scalar reference."""
+    row_fn = ROW_KERNELS[name]
+    oracle = canonical_rows(
+        _rows_via_scalar(INTERSECTION_KERNELS[name], flat, offsets, seg_rows, adjacency)
+    )
+    got = canonical_rows(row_fn(flat, offsets, seg_rows, adjacency))
+    assert got == oracle, f"{name}/default-cutoffs diverged: {got} != {oracle}"
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(intersection, "_SCALAR_BATCH_CUTOFF", -1)
+        got = canonical_rows(row_fn(flat, offsets, seg_rows, adjacency))
+    assert got == oracle, f"{name}/force-vectorized diverged: {got} != {oracle}"
 
 
+@pytest.mark.parametrize("name", KERNEL_NAMES)
 @settings(max_examples=120, deadline=None)
 @given(case=row_cases())
-def test_row_kernels_agree_across_tiers(case):
-    """Same matches, same comparison totals: every tier, every row kernel."""
-    flat, offsets, seg_rows, adjacency = case
-    for name in KERNEL_NAMES:
-        variants = row_variants(name)
-        oracle = canonical_rows(
-            variants["tier:scalar"](flat, offsets, seg_rows, adjacency)
-        )
-        for label, kernel_fn in variants.items():
-            got = canonical_rows(kernel_fn(flat, offsets, seg_rows, adjacency))
-            assert got == oracle, f"{name}/{label} diverged: {got} != {oracle}"
+def test_row_kernels_match_scalar_reference(name, case):
+    """Same matches, same comparison totals: every row kernel, both routes."""
+    assert_rows_match_reference(name, *case)
 
 
 def _adjacency(rows, order_count=64):
@@ -151,74 +138,4 @@ ADVERSARIAL_ROW_CASES = [
 @pytest.mark.parametrize("name", KERNEL_NAMES)
 def test_row_kernels_adversarial_cases(name):
     for flat, offsets, seg_rows, rows in ADVERSARIAL_ROW_CASES:
-        adjacency = _adjacency(rows)
-        variants = row_variants(name)
-        oracle = canonical_rows(
-            variants["tier:scalar"](flat, offsets, seg_rows, adjacency)
-        )
-        for label, kernel_fn in variants.items():
-            got = canonical_rows(kernel_fn(flat, offsets, seg_rows, adjacency))
-            assert got == oracle, f"{name}/{label} on {flat, offsets, seg_rows}"
-
-
-# ---------------------------------------------------------------------------
-# Downgrade semantics: with and without numba
-# ---------------------------------------------------------------------------
-
-
-def test_compiled_module_imports_without_numba():
-    """The compiled module is importable either way; its loops are callable."""
-    assert isinstance(intersection_compiled.NUMBA_AVAILABLE, bool)
-    adjacency = _adjacency([[2, 3]])
-    result = COMPILED_ROW_KERNELS["merge_path"]([1, 2], [0, 2], [0], adjacency)
-    assert canonical_rows(result) == ([0], [1], [0], 2)
-
-
-def test_compiled_tier_registration_matches_numba():
-    """``compiled`` is a registered tier exactly when numba is installed."""
-    assert ("compiled" in ROW_KERNEL_TIERS) == NUMBA_AVAILABLE
-    assert available_kernel_tiers() == tuple(
-        tier for tier in KERNEL_TIERS if tier in ROW_KERNEL_TIERS
-    )
-
-
-def test_resolve_compiled_follows_fallback_chain():
-    """Requesting the compiled tier never errors: it downgrades as declared."""
-    resolved = resolve_kernel_tier("compiled")
-    if NUMBA_AVAILABLE:
-        assert resolved == "compiled"
-    else:
-        assert resolved == KERNEL_TIER_FALLBACK["compiled"] == "columnar"
-    # The accessors hand back callables for every name at every spelling.
-    for name in KERNEL_NAMES:
-        assert callable(row_kernel(name, "compiled"))
-        assert callable(row_kernel(name, None))
-        assert callable(row_kernel(name, "auto"))
-    with pytest.raises(ValueError):
-        resolve_kernel_tier("vectorized")
-
-
-def test_survey_accepts_compiled_tier_everywhere():
-    """End-to-end: kernel_tier="compiled" runs (downgrading without numba)
-    and reproduces the default-tier survey exactly."""
-    from repro.core.survey import triangle_survey_push
-    from repro.graph import DODGraph
-    from repro.graph.generators import rmat
-    from repro.runtime import World
-
-    def run(kernel_tier):
-        world = World(4)
-        dodgr = DODGraph.build(
-            rmat(6, edge_factor=6, seed=9).to_distributed(world), mode="bulk"
-        )
-        report = triangle_survey_push(
-            dodgr, None, engine="columnar", kernel_tier=kernel_tier
-        )
-        return (
-            report.triangles,
-            report.wedge_checks,
-            report.communication_bytes,
-            report.wire_messages,
-        )
-
-    assert run("compiled") == run(None) == run("scalar")
+        assert_rows_match_reference(name, flat, offsets, seg_rows, _adjacency(rows))

@@ -24,13 +24,10 @@ Five checks, exit status 1 on any failure (each printed to stderr):
    ``snapshot()`` / ``merge()`` / ``callback_batch`` trio (and the plain
    ``callback``), so streaming windows, checkpoint/restart recovery and the
    columnar engine works with every registered reducer.
-5. **Execution-axis parity** — the kernel-tier names in README.md's
-   ``| Kernel tier |`` table must equal
-   :data:`repro.core.intersection.KERNEL_TIERS`, the storage modes in the
-   ``| Storage |`` table must equal :data:`repro.graph.ooc.STORAGES`, every
-   engine spec's declared ``kernel_tiers`` must be drawn from the tier
-   table, and a survey smoke per tier (and one under ``storage="mmap"``)
-   must match the legacy oracle exactly, leaking no segment files.
+5. **Storage parity** — the storage modes in README.md's ``| Storage |``
+   table must equal :data:`repro.graph.ooc.STORAGES`, and a survey smoke
+   under ``storage="mmap"`` must match the legacy oracle exactly, leaking
+   no segment files.
 
 Used by the docs CI job (``python tools/check_engines.py``) and mirrored in
 ``tests/docs/test_docs.py`` so registry/README drift fails tier-1 first.
@@ -87,11 +84,6 @@ def documented_backends(readme: Path) -> Tuple[str, ...]:
     return _documented_table(readme, "| Backend |")
 
 
-def documented_kernel_tiers(readme: Path) -> Tuple[str, ...]:
-    """Tier names listed in the README's kernel-tier table, in order."""
-    return _documented_table(readme, "| Kernel tier |")
-
-
 def documented_storages(readme: Path) -> Tuple[str, ...]:
     """Storage modes listed in the README's storage table, in order."""
     return _documented_table(readme, "| Storage |")
@@ -101,7 +93,6 @@ def run_smoke(
     engine: str,
     algorithm: str,
     backend: str = "simulated",
-    kernel_tier: str = None,
     storage: str = None,
 ):
     """One fresh-world survey: (panel, triangles, comm bytes, wire messages)."""
@@ -117,7 +108,6 @@ def run_smoke(
         engine=engine,
         backend=backend,
         workers=workers,
-        kernel_tier=kernel_tier,
         storage=storage,
     )
     reducer.finalize()
@@ -187,46 +177,21 @@ def check_reducer_contract() -> List[str]:
     return errors
 
 
-def check_execution_axes(registered: Tuple[str, ...]) -> List[str]:
-    """Kernel-tier/storage docs match their registries; both run clean (check 5)."""
-    from repro.core.engine import resolve_engine
-    from repro.core.intersection import KERNEL_TIERS, available_kernel_tiers
+def check_storage() -> List[str]:
+    """Storage docs match their registry; mmap runs clean (check 5)."""
     from repro.graph.ooc import STORAGES, active_segment_paths
 
-    errors: List[str] = []
-    readme = REPO_ROOT / "README.md"
-    documented_tiers = documented_kernel_tiers(readme)
-    if documented_tiers != KERNEL_TIERS:
-        errors.append(
-            f"README kernel-tier table {documented_tiers!r} != "
-            f"KERNEL_TIERS {KERNEL_TIERS!r}"
-        )
-    documented_storage_table = documented_storages(readme)
+    documented_storage_table = documented_storages(REPO_ROOT / "README.md")
     if documented_storage_table != STORAGES:
-        errors.append(
+        return [
             f"README storage table {documented_storage_table!r} != "
             f"STORAGES {STORAGES!r}"
-        )
-    for engine in registered:
-        spec = resolve_engine(engine)
-        unknown = [tier for tier in spec.kernel_tiers if tier not in KERNEL_TIERS]
-        if unknown:
-            errors.append(
-                f"engine {engine!r} declares unknown kernel tiers {unknown!r}"
-            )
-    if errors:
-        return errors
+        ]
 
-    # Every tier spelling (including ones that downgrade here) and the mmap
-    # storage mode reproduce the legacy oracle; no segment files survive.
+    # The mmap storage mode reproduces the legacy oracle; no segment files
+    # survive.
+    errors: List[str] = []
     oracle = run_smoke("legacy", "push")
-    for tier in available_kernel_tiers() + ("compiled",):
-        result = run_smoke("columnar", "push", kernel_tier=tier)
-        if result != oracle:
-            errors.append(
-                f"columnar/kernel_tier={tier!r}: parity smoke failed "
-                f"({result[1:]} vs legacy {oracle[1:]})"
-            )
     before = active_segment_paths()
     result = run_smoke("columnar", "push", storage="mmap")
     if result != oracle:
@@ -281,14 +246,13 @@ def main() -> int:
 
     errors.extend(check_sweep_axis(registered))
     errors.extend(check_reducer_contract())
-    errors.extend(check_execution_axes(registered))
+    errors.extend(check_storage())
 
     if errors:
         for error in errors:
             print(f"check_engines: {error}", file=sys.stderr)
         return 1
     from repro.core.callbacks import reducer_names
-    from repro.core.intersection import KERNEL_TIERS
     from repro.graph.ooc import STORAGES
 
     print(
@@ -298,8 +262,7 @@ def main() -> int:
         f"({', '.join(backends)}); "
         f"{len(reducer_names())} reducers honour the "
         "snapshot/merge/callback_batch contract; "
-        f"{len(KERNEL_TIERS)} kernel tiers and {len(STORAGES)} storage modes "
-        "documented and parity-clean"
+        f"{len(STORAGES)} storage modes documented and parity-clean"
     )
     return 0
 
