@@ -23,14 +23,14 @@ def pytest_addoption(parser):
     parser.addoption(
         "--engine",
         action="store",
-        default="legacy",
+        default="columnar",
         choices=engine_names(),
         help=(
             "Survey execution engine the paper-table benchmarks run on "
-            "(default: legacy); choices come from the engine registry "
-            "(repro.core.engine).  Every engine reproduces identical result "
-            "columns — communicated bytes included — so the tables can be "
-            "regenerated on any of them."
+            "(default: columnar, the library default); choices come from "
+            "the engine registry (repro.core.engine).  Every engine "
+            "reproduces identical result columns — communicated bytes "
+            "included — so the tables can be regenerated on any of them."
         ),
     )
     parser.addoption(

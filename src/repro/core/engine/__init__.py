@@ -8,8 +8,9 @@ survey execution end to end:
   the two engines (``columnar``, the default, and ``legacy``, the scalar
   oracle), resolved with :func:`resolve_engine`;
 * :mod:`~repro.core.engine.request` — the :class:`SurveyRequest` /
-  :class:`SurveyResult` pair and the caller-facing :class:`EngineConfig`
-  selector threaded through ``analysis/*``, ``bench/*`` and the CLIs;
+  :class:`SurveyResult` pair, the caller-facing :class:`EngineConfig`
+  selector threaded through ``analysis/*``, ``bench/*`` and the CLIs, and
+  :func:`resolve_request`, the one place every entry point reads it;
 * :mod:`~repro.core.engine.driver` / :mod:`~repro.core.engine.pull` /
   :mod:`~repro.core.engine.delta` — the shared driver core: candidate
   stream construction over ``CSRAdjacency``/``RowAdjacency``, intersect
@@ -21,7 +22,8 @@ survey execution end to end:
   the Push-Only and Push-Pull runners, one driver loop each.
 
 ``repro.core.survey``, ``repro.core.push_pull`` and
-``repro.core.incremental`` are thin entry points over this layer.
+``repro.core.incremental`` are thin entry points over this layer; the
+checkpoint/restart contract lives in :mod:`~repro.core.engine.checkpoint`.
 
 Adding an engine
 ----------------
@@ -62,8 +64,7 @@ from .request import (
     SurveyRequest,
     SurveyResult,
     TriangleCallback,
-    split_backend_selector,
-    split_engine_selector,
+    resolve_request,
 )
 from .driver import resolve_batch_callback
 from .program import SurveyProgram, execute_program
@@ -84,8 +85,7 @@ __all__ = [
     "registered_engines",
     "engine_names",
     "backend_names",
-    "split_engine_selector",
-    "split_backend_selector",
+    "resolve_request",
     "validate_request",
     "resolve_batch_callback",
     "execute_program",
@@ -103,27 +103,24 @@ __all__ = [
 
 
 def execute_survey(request: SurveyRequest, engine=None) -> SurveyResult:
-    """Run ``request`` on the engine it (or ``engine``) selects.
+    """Run ``request`` on the engine ``engine`` selects.
 
-    The request's ``algorithm`` picks the runner (``"push"`` or
-    ``"push_pull"``); ``engine`` may be anything
-    :func:`resolve_engine` accepts and defaults to the columnar engine.
+    ``engine`` may be anything :func:`resolve_request` accepts (default:
+    the columnar engine); an :class:`EngineConfig`'s set fields override
+    the request's.  The request's ``algorithm`` picks the runner
+    (``"push"`` or ``"push_pull"``).
     """
-    spec = resolve_engine(engine)
+    spec, request = resolve_request(engine, request)
     if request.algorithm == "push":
         return run_push_survey(request, spec)
-    if request.algorithm == "push_pull":
-        return run_push_pull_survey(request, spec)
-    raise ValueError(f"unknown survey algorithm {request.algorithm!r}")
+    return run_push_pull_survey(request, spec)
 
 
 # Checkpoint/restart wrappers import execute_survey lazily, so this import
 # must stay below its definition.
 from .checkpoint import (  # noqa: E402
     CheckpointPolicy,
-    CheckpointedStreamingSurvey,
     RecoveryLog,
-    ResilientStreamingStep,
     ResilientSurveyResult,
     StaleCheckpointError,
     StreamingCheckpoint,
@@ -132,9 +129,7 @@ from .checkpoint import (  # noqa: E402
 
 __all__ += [
     "CheckpointPolicy",
-    "CheckpointedStreamingSurvey",
     "RecoveryLog",
-    "ResilientStreamingStep",
     "ResilientSurveyResult",
     "StaleCheckpointError",
     "StreamingCheckpoint",

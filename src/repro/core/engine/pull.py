@@ -122,7 +122,8 @@ def _make_columnar_pull_handler(
                     continue
                 lo, hi = csr.row_slice(row)
                 start = lo + q_index + 1
-                wedge_checks += hi - start
+                # int(): spilled (mmap) indptr columns yield NumPy scalars.
+                wedge_checks += int(hi - start)
                 rows.append(row)
                 starts.append(start)
                 ends.append(hi)
@@ -222,8 +223,9 @@ def drive_pull(columnar: bool, ctx, dodgr: DODGraph, handler, pull_list) -> None
                 continue
             lo, hi = csr.row_slice(row)
             # The pulled payload omits meta(r): the requesting rank
-            # stores meta(r) locally for every r it may close with.
-            nbytes = (
+            # stores meta(r) locally for every r it may close with.  int():
+            # spilled (mmap) columns yield NumPy scalars.
+            nbytes = int(
                 pull_overhead
                 + csr.row_wire_sizes[row]
                 + uvarint_size(hi - lo)

@@ -72,6 +72,9 @@ def engine_names() -> Tuple[str, ...]:
 #: (:mod:`repro.runtime.backend`).
 BACKENDS: Tuple[str, ...] = ("simulated", "process")
 
+#: The full-survey algorithms (Section 4.3 and 4.4 of the paper).
+ALGORITHMS: Tuple[str, ...] = ("push", "push_pull")
+
 
 def backend_names() -> Tuple[str, ...]:
     """Registered execution-backend names, oracle first."""
@@ -138,10 +141,12 @@ def resolve_engine(engine: Any = None) -> EngineSpec:
 def validate_request(request: SurveyRequest) -> None:
     """Reject unsupported execution-axis combinations before anything runs.
 
-    Called by the engine runners and the incremental entry points before
-    they register a handler; raising here means no handlers were registered, no phases begun, no
-    segment files created.  Two axes are checked:
+    Called by :func:`~repro.core.engine.request.resolve_request` and the
+    engine runners before they register a handler; raising here means no
+    handlers were registered, no phases begun, no segment files created.
+    Three axes are checked:
 
+    * ``algorithm`` — ``"push"`` or ``"push_pull"``.
     * ``kernel`` — must name a registered intersection kernel
       (:data:`repro.core.intersection.INTERSECTION_KERNELS`, the same names
       as :data:`~repro.core.intersection.ROW_KERNELS`).
@@ -149,9 +154,13 @@ def validate_request(request: SurveyRequest) -> None:
       :class:`~repro.graph.ooc.StorageConfig`); ``"mmap"`` is rejected on
       the process backend until segments ship by path to the workers.
     """
-    from ...graph.ooc import StorageConfig, resolve_storage
+    from ...graph.ooc import resolve_storage
     from ..intersection import INTERSECTION_KERNELS
 
+    if request.algorithm not in ALGORITHMS:
+        raise ValueError(
+            f"unknown survey algorithm {request.algorithm!r}; known: {ALGORITHMS}"
+        )
     kernel = request.kernel
     if kernel not in INTERSECTION_KERNELS:
         known = tuple(INTERSECTION_KERNELS)
@@ -159,10 +168,7 @@ def validate_request(request: SurveyRequest) -> None:
             f"unknown intersection kernel {kernel!r}; known: {known}"
             f"{suggest_name(kernel, known)}"
         )
-    storage = request.storage
-    mode = resolve_storage(
-        storage.mode if isinstance(storage, StorageConfig) else storage
-    )
+    mode = resolve_storage(request.storage)
     if mode == "mmap" and resolve_backend(request.backend) == "process":
         raise ValueError(
             "storage='mmap' is not supported on backend='process': memmap "

@@ -11,14 +11,18 @@ which returns a :class:`SurveyResult` wrapping the familiar
 travels unchanged through ``analysis/*``, ``bench/*``,
 :class:`~repro.core.incremental.StreamingSurvey` and the benchmark CLIs.
 Anywhere an ``engine=`` keyword accepts a string name it also accepts an
-``EngineConfig``, which additionally pins the intersection kernel and the
-per-triangle callback cost — so one object selects the execution strategy
-everywhere, instead of three loose keywords re-declared at every layer.
+``EngineConfig``, which additionally pins the intersection kernel, the
+per-triangle callback cost, the backend, the worker count and the CSR
+storage — so one object selects the execution strategy everywhere, instead
+of loose keywords re-declared at every layer.  :func:`resolve_request` is
+the one place that reads it: every entry point hands it the selector plus
+its loose keywords and gets back the validated ``(EngineSpec,
+SurveyRequest)`` pair.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Optional, Tuple
 
 __all__ = [
@@ -32,8 +36,7 @@ __all__ = [
     "EngineConfig",
     "SurveyRequest",
     "SurveyResult",
-    "split_engine_selector",
-    "split_backend_selector",
+    "resolve_request",
 ]
 
 #: Type of a survey callback: ``callback(ctx, tri)`` executed on the rank
@@ -118,47 +121,6 @@ class EngineConfig:
         )
 
 
-def split_engine_selector(
-    engine: Any, kernel: str, callback_compute_units: int
-) -> Tuple[Optional[str], str, int]:
-    """Resolve an ``engine=`` argument against an entry point's loose keywords.
-
-    ``engine`` may be ``None``, a registered engine name, an ``EngineSpec``
-    or an :class:`EngineConfig`.  When it is an ``EngineConfig`` its *set*
-    fields win: its kernel (when not ``None``) replaces the entry point's
-    ``kernel`` argument, its ``callback_compute_units`` (when not ``None``)
-    the entry point's.  Returns the flattened
-    ``(engine_name, kernel, callback_compute_units)``.
-    """
-    if engine is None or isinstance(engine, str):
-        return engine, kernel, callback_compute_units
-    config = EngineConfig.coerce(engine)
-    if config.callback_compute_units is not None:
-        callback_compute_units = config.callback_compute_units
-    return config.engine, config.kernel or kernel, callback_compute_units
-
-
-def split_backend_selector(
-    engine: Any, backend: Optional[str], workers: Optional[int], storage: Any = None
-) -> Tuple[Optional[str], Optional[int], Any]:
-    """Resolve ``backend=``/``workers=``/``storage=`` against an engine selector.
-
-    Mirrors :func:`split_engine_selector`: when ``engine`` is an
-    :class:`EngineConfig` its *set* backend and storage fields win over the
-    entry point's loose keywords, so one config object can pin the whole
-    execution strategy (engine, kernel, backend, worker count, storage)
-    everywhere an ``engine=`` keyword travels.
-    """
-    if isinstance(engine, EngineConfig):
-        if engine.backend is not None:
-            backend = engine.backend
-        if engine.workers is not None:
-            workers = engine.workers
-        if engine.storage is not None:
-            storage = engine.storage
-    return backend, workers, storage
-
-
 @dataclass
 class SurveyRequest:
     """Everything an execution engine needs to run one survey.
@@ -198,3 +160,41 @@ class SurveyResult:
     #: Name of the engine that ran.
     engine: str
     request: SurveyRequest = field(repr=False, default=None)
+
+
+#: The :class:`EngineConfig` fields that, when set, replace the entry
+#: point's loose keyword of the same name on the :class:`SurveyRequest`.
+_PINNED_FIELDS = ("kernel", "callback_compute_units", "backend", "workers", "storage")
+
+
+def resolve_request(
+    engine: EngineSelector = None,
+    request: Optional[SurveyRequest] = None,
+    **fields: Any,
+) -> Tuple[Any, SurveyRequest]:
+    """Turn an ``engine=`` selector plus loose keywords into ``(spec, request)``.
+
+    ``fields`` are :class:`SurveyRequest` fields (the entry point's loose
+    keywords); they update ``request`` when one is given, else build a new
+    one.  When ``engine`` is an :class:`EngineConfig`, each of its *set*
+    fields wins over the loose keyword of the same name, and its ``engine``
+    field selects the spec (``None`` = the columnar default).  The backend
+    is normalised and the result validated
+    (:func:`~repro.core.engine.registry.validate_request`), so an
+    unsupported selector raises here — before any handler registers.
+    """
+    from . import registry  # deferred: registry imports this module
+
+    config = EngineConfig.coerce(engine)
+    for name in _PINNED_FIELDS:
+        value = getattr(config, name)
+        if value is not None:
+            fields[name] = value
+    if request is None:
+        request = SurveyRequest(**fields)
+    else:
+        request = replace(request, **fields)
+    spec = registry.resolve_engine(engine)
+    request.backend = registry.resolve_backend(request.backend)
+    registry.validate_request(request)
+    return spec, request

@@ -47,12 +47,8 @@ from .engine import (
     DRY_RUN_PHASE,
     PULL_PHASE,
     PUSH_PHASE,
-    SurveyRequest,
     TriangleCallback,
-    resolve_backend,
-    resolve_engine,
-    split_backend_selector,
-    split_engine_selector,
+    resolve_request,
 )
 from .engine.push_pull import run_push_pull_survey
 from .results import SurveyReport
@@ -124,14 +120,8 @@ def triangle_survey_push_pull(
     The returned report carries the three-phase breakdown (dry run / push /
     pull) and the number of pulled adjacency lists used for Table 3.
     """
-    backend, workers, storage = split_backend_selector(
-        engine, backend, workers, storage
-    )
-    engine, kernel, callback_compute_units = split_engine_selector(
-        engine, kernel, callback_compute_units
-    )
-    spec = resolve_engine(engine)
-    request = SurveyRequest(
+    spec, request = resolve_request(
+        engine,
         dodgr=dodgr,
         callback=callback,
         algorithm="push_pull",
@@ -139,7 +129,7 @@ def triangle_survey_push_pull(
         reset_stats=reset_stats,
         graph_name=graph_name,
         callback_compute_units=callback_compute_units,
-        backend=resolve_backend(backend),
+        backend=backend,
         workers=workers,
         storage=storage,
     )

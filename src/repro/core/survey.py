@@ -43,14 +43,10 @@ from ..graph.dodgr import DODGraph
 from .engine import (
     DEFAULT_CALLBACK_COMPUTE_UNITS,
     PUSH_PHASE,
-    SurveyRequest,
     TriangleCallback,
     engine_names,
-    resolve_backend,
     resolve_batch_callback,
-    resolve_engine,
-    split_backend_selector,
-    split_engine_selector,
+    resolve_request,
 )
 from .engine.push import run_push_survey
 from .results import SurveyReport
@@ -109,8 +105,9 @@ def triangle_survey_push(
     engine:
         Engine selector: an engine name (``"columnar"`` — the default — or
         ``"legacy"``), an :class:`~repro.core.engine.EngineSpec`, or an
-        :class:`~repro.core.engine.EngineConfig` (which also pins ``kernel``
-        and ``callback_compute_units``).  Callbacks that define a
+        :class:`~repro.core.engine.EngineConfig`, whose set fields override
+        ``kernel``, ``callback_compute_units``, ``backend``, ``workers`` and
+        ``storage``.  Callbacks that define a
         ``callback_batch`` counterpart (see
         :func:`~repro.core.engine.resolve_batch_callback`) receive triangles
         as :class:`~repro.graph.metadata.TriangleBatch` columns on the
@@ -132,14 +129,8 @@ def triangle_survey_push(
         :class:`~repro.graph.ooc.StorageConfig` pinning a memory budget and
         segment directory.  ``"mmap"`` requires the simulated backend.
     """
-    backend, workers, storage = split_backend_selector(
-        engine, backend, workers, storage
-    )
-    engine, kernel, callback_compute_units = split_engine_selector(
-        engine, kernel, callback_compute_units
-    )
-    spec = resolve_engine(engine)
-    request = SurveyRequest(
+    spec, request = resolve_request(
+        engine,
         dodgr=dodgr,
         callback=callback,
         algorithm="push",
@@ -148,7 +139,7 @@ def triangle_survey_push(
         graph_name=graph_name,
         phase_name=phase_name,
         callback_compute_units=callback_compute_units,
-        backend=resolve_backend(backend),
+        backend=backend,
         workers=workers,
         storage=storage,
     )

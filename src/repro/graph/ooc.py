@@ -74,8 +74,11 @@ def resolve_storage(storage: Any = None) -> str:
 
     ``None`` selects resident storage — the default everywhere, so existing
     callers are untouched by the storage axis.  ``"mmap"`` spills the
-    columns to ``np.memmap`` arrays.
+    columns to ``np.memmap`` arrays.  A :class:`StorageConfig` yields its
+    own mode.
     """
+    if isinstance(storage, StorageConfig):
+        storage = storage.mode
     if storage is None:
         return "resident"
     if isinstance(storage, str) and storage in STORAGES:

@@ -23,8 +23,8 @@ The degradation ladder
     fresh exact survey on the pinned epoch (with bounded
     exponential-backoff retries through recoverable rank crashes, skipped
     when the cost model predicts a deadline bust) → the resident
-    :class:`~repro.core.engine.checkpoint.CheckpointedStreamingSurvey`
-    ledger's checkpointed cumulative panels (exact for the stock
+    :class:`~repro.core.incremental.StreamingSurvey` ledger's checkpointed
+    cumulative panels (exact for the stock
     reducers, by replay parity) → a sampled
     :func:`~repro.core.approximate.approximate_triangle_count` or — after
     permanent rank loss —
@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Deque, Dict, Iterable, List, Optional, Set, Tuple
 
 from collections import deque
@@ -59,14 +59,18 @@ from ..core.callbacks import (
 )
 from ..core.engine import (
     CheckpointPolicy,
-    CheckpointedStreamingSurvey,
+    EngineConfig,
+    EngineSelector,
     SurveyRequest,
     execute_survey,
     resolve_engine,
+    resolve_request,
 )
 from ..core.engine.registry import suggest_name
 from ..graph.delta import DeltaBuffer
+from ..core.incremental import StreamingSurvey
 from ..graph.distributed_graph import DistributedGraph
+from ..runtime.backend import UnsupportedBackendError
 from ..runtime.faults import FaultPlan, RankCrashError
 from ..runtime.world import World
 from .admission import AdmissionController, CostModel
@@ -143,7 +147,7 @@ def make_composite_reducer(specs: Tuple[AnalysisSpec, ...]) -> type:
     The resident ledger surveys every tracked analysis in a single pass:
     ``snapshot()`` returns ``{analysis: panel}`` and the classmethod
     ``merge`` merges per analysis, so composite panels satisfy the same
-    snapshot/merge contract :class:`CheckpointedStreamingSurvey` expects.
+    snapshot/merge contract the :class:`StreamingSurvey` ledger expects.
     Both ``callback`` and ``callback_batch`` are defined in one class so
     the driver's batch-callback resolution engages columnar delivery.
     """
@@ -339,7 +343,7 @@ class SurveyService:
         analyses: Optional[Iterable[str]] = None,
         plan: Optional[FaultPlan] = None,
         policy: Optional[ServicePolicy] = None,
-        engine: Optional[str] = None,
+        engine: EngineSelector = None,
         name: str = "service",
     ) -> None:
         self.world = world
@@ -348,21 +352,30 @@ class SurveyService:
         self.analyses: Dict[str, AnalysisSpec] = {
             analysis: get_analysis(analysis) for analysis in names
         }
+        spec, request = resolve_request(engine, dodgr=None)
+        if request.backend != "simulated":
+            raise UnsupportedBackendError(
+                "SurveyService runs exact queries under deadlines, which "
+                "backend='process' does not support; use the default backend"
+            )
+        # The exact-query selector: its set fields (kernel, storage, ...)
+        # pin every exact survey; queries may override the engine.
+        self._engine_config = EngineConfig.coerce(engine)
         #: exact-query engine when a query names none (columnar unless
-        #: ``engine=`` says otherwise); queries may override per-query
-        self.engine_name = resolve_engine(engine).name
+        #: ``engine=`` says otherwise)
+        self.engine_name = spec.name
         self.name = name
         self.plan = plan
+        if plan is not None:
+            world.install_fault_plan(plan)
         # The resident ledger: one streaming pass surveys every tracked
-        # analysis; it owns plan installation (world-armed), checkpoints
-        # per policy, and degrades on permanent loss instead of raising.
-        self._ledger = CheckpointedStreamingSurvey(
+        # analysis under the world-armed plan; it checkpoints per policy
+        # and degrades on permanent loss instead of raising.
+        self._ledger = StreamingSurvey(
             world,
             reducer_factory=make_composite_reducer(tuple(self.analyses.values())),
-            plan=plan,
-            policy=self.policy.checkpoint,
-            engine=resolve_engine(None).name,
             graph_name=f"{name}.ledger",
+            policy=self.policy.checkpoint,
         )
         # The exact-query substrate: a second resident graph whose rebuilt
         # DODGr is *retained per epoch* while queries pin it (the ledger
@@ -395,8 +408,7 @@ class SurveyService:
     ) -> Any:
         """Apply one edge batch: advance the epoch, survey the ledger.
 
-        Returns the ledger's
-        :class:`~repro.core.engine.checkpoint.ResilientStreamingStep`.
+        Returns the ledger's :class:`~repro.core.incremental.StreamingStep`.
         In-flight queries are unaffected: they hold pins on their epochs'
         graphs, and ledger panels for past epochs are already frozen.
         """
@@ -701,7 +713,10 @@ class SurveyService:
             started = time.perf_counter()
             try:
                 with world.deadline_scope(deadline):
-                    result = execute_survey(request, engine=engine_name)
+                    result = execute_survey(
+                        request,
+                        engine=replace(self._engine_config, engine=engine_name),
+                    )
                     if hasattr(reducer, "finalize"):
                         reducer.finalize()
                 panel = reducer.snapshot()

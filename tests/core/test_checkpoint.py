@@ -6,9 +6,9 @@ The contract under test (``core/engine/checkpoint.py``):
   triangle counts to an undecorated survey, for every registered engine;
 * through a recoverable crash, the recovered panels are bit-identical to
   the fault-free run's (reports honestly accumulate the wasted attempt);
-* streaming recovery replays at most ``checkpoint_interval`` batches and
-  still matches the plain :class:`~repro.core.incremental.StreamingSurvey`
-  step-for-step;
+* :class:`~repro.core.incremental.StreamingSurvey` recovery replays at
+  most ``checkpoint_interval`` batches and still matches a fault-free
+  full-recompute oracle step-for-step;
 * permanent loss degrades to a survivor estimate with error bounds
   instead of raising.
 """
@@ -23,7 +23,6 @@ from repro.core.approximate import survivor_triangle_estimate
 from repro.core.callbacks import LocalTriangleCounter, TriangleCounter
 from repro.core.engine import (
     CheckpointPolicy,
-    CheckpointedStreamingSurvey,
     EngineConfig,
     StaleCheckpointError,
     engine_names,
@@ -31,6 +30,7 @@ from repro.core.engine import (
 )
 from repro.core.incremental import StreamingSurvey
 from repro.core.survey import triangle_survey_push
+from repro.graph import serial_triangle_count
 from repro.graph.dodgr import DODGraph
 from repro.graph.generators import erdos_renyi
 from repro.graph.ooc import active_segment_paths
@@ -47,8 +47,8 @@ CRASH_PLAN = FaultPlan(
 
 
 #: Every engine, plus the columnar engine on out-of-core (``mmap``) CSR
-#: storage; releasing the graph afterwards must unlink every segment file,
-#: the crashed attempt's included.
+#: storage: there the survey must really spill, and releasing the graph
+#: afterwards must unlink every segment file, the crashed attempt's included.
 RECOVERY_ENGINES = engine_names() + ("columnar-mmap",)
 
 
@@ -73,6 +73,7 @@ def direct_survey(engine=None):
         dodgr, reducer.callback, engine=engine_selector(engine)
     )
     reducer.finalize()
+    assert bool(active_segment_paths()) == (engine == "columnar-mmap")
     dodgr.release()
     assert not active_segment_paths()
     return reducer.snapshot(), report.triangles
@@ -90,6 +91,8 @@ def recovery_survey(plan=None, policy=None, with_graph=False, engine=None):
         policy=policy,
         graph=graph if with_graph else None,
     )
+    if not result.degraded:
+        assert bool(active_segment_paths()) == (engine == "columnar-mmap")
     dodgr.release()
     assert not active_segment_paths()
     return result
@@ -153,6 +156,35 @@ class TestFullSurveyRecovery:
         lo, hi = est.confidence_interval()
         assert lo <= est.estimate <= hi
 
+    @pytest.mark.parametrize(
+        "selector,expected",
+        [
+            (None, "columnar"),
+            ("legacy", "legacy"),
+            (EngineConfig(engine="legacy", kernel="hash"), "legacy"),
+        ],
+        ids=["default", "name", "config"],
+    )
+    def test_degraded_result_names_the_resolved_engine(self, selector, expected):
+        plan = FaultPlan(
+            name="permanent",
+            crash_rank=1,
+            crash_phase="push",
+            crash_after_executions=2,
+            crash_recoverable=False,
+        )
+        world = World(NRANKS)
+        graph = build_graph(world)
+        res = run_survey_with_recovery(
+            DODGraph.build(graph, mode="bulk"),
+            LocalTriangleCounter,
+            engine=selector,
+            plan=plan,
+            graph=graph,
+        )
+        assert res.degraded
+        assert res.engine == expected
+
     def test_unrecoverable_without_graph_raises(self):
         plan = FaultPlan(
             name="permanent",
@@ -209,23 +241,50 @@ def edge_batches(seed=5, num_batches=4, count=120):
     return [edges[k * step : (k + 1) * step] for k in range(num_batches)]
 
 
-def plain_stream(batches, window_batches=None):
+class OracleStep:
+    """One fault-free stream step, computed by full serial recount."""
+
+    def __init__(self, snapshot, window, cumulative, retired):
+        self.snapshot = snapshot
+        self.window = window
+        self.cumulative = cumulative
+        self.retired = retired
+
+
+def recompute_oracle(batches, window_batches=None):
+    """Per-step TriangleCounter panels of the fault-free stream, by recount.
+
+    Replay parity: a batch's panel is the count of triangles its edges
+    closed, so each step's cumulative equals a full recount of the merged
+    edges, and its window the recount difference across the window.
+    """
+    totals = [0]
+    merged = []
+    for batch in batches:
+        merged.extend(batch)
+        totals.append(serial_triangle_count(merged))
+    steps = []
+    for k in range(1, len(totals)):
+        first = 0 if window_batches is None else max(k - window_batches, 0)
+        gone = k - 1 - (window_batches or k)
+        steps.append(
+            OracleStep(
+                snapshot=totals[k] - totals[k - 1],
+                window=totals[k] - totals[first],
+                cumulative=totals[k],
+                retired=None if gone < 0 else totals[gone + 1] - totals[gone],
+            )
+        )
+    return steps
+
+
+def resilient_stream(batches, plan=None, policy=None, window_batches=None):
+    """Stream ``batches`` under ``plan`` armed on the world."""
     world = World(NRANKS)
+    if plan is not None:
+        world.install_fault_plan(plan)
     survey = StreamingSurvey(
-        world, TriangleCounter, window_batches=window_batches, graph_name="plain"
-    )
-    return [survey.ingest(batch) for batch in batches]
-
-
-def checkpointed_stream(batches, plan=None, policy=None, window_batches=None):
-    world = World(NRANKS)
-    survey = CheckpointedStreamingSurvey(
-        world,
-        TriangleCounter,
-        plan=plan,
-        policy=policy,
-        window_batches=window_batches,
-        graph_name="plain",  # same graph name => identical graph_name telemetry
+        world, TriangleCounter, window_batches=window_batches, policy=policy
     )
     return survey, [survey.ingest(batch) for batch in batches]
 
@@ -241,10 +300,11 @@ STREAM_CRASH = FaultPlan(
 
 
 class TestStreamingCheckpoint:
-    def test_fault_free_matches_plain_streaming(self):
+    def test_fault_free_matches_full_recompute(self):
         batches = edge_batches()
-        plain = plain_stream(batches)
-        _, steps = checkpointed_stream(batches)
+        plain = recompute_oracle(batches)
+        _, steps = resilient_stream(batches)
+        assert len(steps) == len(plain)
         for base, step in zip(plain, steps):
             assert step.snapshot == base.snapshot
             assert step.cumulative == base.cumulative
@@ -254,8 +314,8 @@ class TestStreamingCheckpoint:
 
     def test_crash_recovery_interval_1(self):
         batches = edge_batches()
-        plain = plain_stream(batches)
-        _, steps = checkpointed_stream(batches, plan=STREAM_CRASH)
+        plain = recompute_oracle(batches)
+        _, steps = resilient_stream(batches, plan=STREAM_CRASH)
         assert sum(step.restarts for step in steps) == 1
         # interval=1 keeps only the live batch in the replay log.
         assert sum(step.replayed_batches for step in steps) == 0
@@ -271,7 +331,7 @@ class TestStreamingCheckpoint:
         replay log is non-empty at crash time); parity must hold there.
         """
         batches = edge_batches()
-        plain = plain_stream(batches)
+        plain = recompute_oracle(batches)
         policy = CheckpointPolicy(checkpoint_interval=2)
         for threshold in range(1, 40):
             plan = FaultPlan(
@@ -281,7 +341,7 @@ class TestStreamingCheckpoint:
                 crash_phase="delta_push",
                 crash_after_executions=threshold,
             )
-            _, steps = checkpointed_stream(batches, plan=plan, policy=policy)
+            _, steps = resilient_stream(batches, plan=plan, policy=policy)
             if sum(step.replayed_batches for step in steps) >= 1:
                 assert sum(step.restarts for step in steps) == 1
                 for base, step in zip(plain, steps):
@@ -292,8 +352,8 @@ class TestStreamingCheckpoint:
 
     def test_windowed_parity_under_crash(self):
         batches = edge_batches()
-        plain = plain_stream(batches, window_batches=2)
-        _, steps = checkpointed_stream(
+        plain = recompute_oracle(batches, window_batches=2)
+        _, steps = resilient_stream(
             batches, plan=STREAM_CRASH, window_batches=2
         )
         for base, step in zip(plain, steps):
@@ -309,7 +369,7 @@ class TestStreamingCheckpoint:
             crash_recoverable=False,
         )
         batches = edge_batches()
-        _, steps = checkpointed_stream(batches, plan=plan)
+        _, steps = resilient_stream(batches, plan=plan)
         degraded = [step for step in steps if step.degraded]
         assert degraded
         step = degraded[0]
@@ -321,7 +381,7 @@ class TestStreamingCheckpoint:
     def test_checkpoint_truncates_replay_log(self):
         batches = edge_batches()
         world = World(NRANKS)
-        survey = CheckpointedStreamingSurvey(
+        survey = StreamingSurvey(
             world,
             TriangleCounter,
             policy=CheckpointPolicy(checkpoint_interval=2),
@@ -336,7 +396,7 @@ class TestStreamingCheckpoint:
 
     def test_checkpoint_persists_wire_totals(self):
         batches = edge_batches()
-        survey, _ = checkpointed_stream(batches)
+        survey, _ = resilient_stream(batches)
         checkpoint = survey.last_checkpoint
         assert checkpoint is not None
         totals = checkpoint.wire_totals
@@ -346,9 +406,7 @@ class TestStreamingCheckpoint:
 
     def test_window_batches_validated(self):
         with pytest.raises(ValueError):
-            CheckpointedStreamingSurvey(
-                World(NRANKS), TriangleCounter, window_batches=0
-            )
+            StreamingSurvey(World(NRANKS), TriangleCounter, window_batches=0)
 
 
 class TestStaleCheckpointGuard:
@@ -371,10 +429,10 @@ class TestStaleCheckpointGuard:
         batches = edge_batches()
         world = World(NRANKS)
         plan_a = FaultPlan(name="benign", seed=1, drop_rate=0.01)
-        survey = CheckpointedStreamingSurvey(
+        world.install_fault_plan(plan_a)
+        survey = StreamingSurvey(
             world,
             TriangleCounter,
-            plan=plan_a,
             policy=CheckpointPolicy(checkpoint_interval=1),
         )
         survey.ingest(batches[0])  # checkpoint stamped with plan A's digest
@@ -393,15 +451,15 @@ class TestStaleCheckpointGuard:
         """The guard keys on plan *contents*: an equal copy passes."""
         batches = edge_batches()
         world = World(NRANKS)
-        survey = CheckpointedStreamingSurvey(
+        world.install_fault_plan(STREAM_CRASH)
+        survey = StreamingSurvey(
             world,
             TriangleCounter,
-            plan=STREAM_CRASH,
             policy=CheckpointPolicy(checkpoint_interval=1),
         )
         steps = [survey.ingest(batch) for batch in batches]
         assert sum(step.restarts for step in steps) == 1
-        plain = plain_stream(batches)
+        plain = recompute_oracle(batches)
         assert steps[-1].cumulative == plain[-1].cumulative
 
 

@@ -14,7 +14,8 @@ from repro.core.engine import (
     execute_survey,
     registered_engines,
     resolve_engine,
-    split_engine_selector,
+    resolve_request,
+    run_survey_with_recovery,
 )
 from repro.core.engine import registry as registry_module
 from repro.core.incremental import StreamingSurvey, incremental_triangle_survey
@@ -23,7 +24,8 @@ from repro.graph.delta import DeltaBuffer
 from repro.graph.distributed_graph import DistributedGraph
 from repro.graph.generators import erdos_renyi
 from repro.graph.ooc import active_segment_paths
-from repro.runtime import World, active_segment_names
+from repro.runtime import UnsupportedBackendError, World, active_segment_names
+from repro.service import SurveyService
 
 
 def build_dodgr(generated, nranks):
@@ -116,53 +118,77 @@ class TestEngineConfig:
         with pytest.raises(TypeError):
             EngineConfig.coerce(Impostor())
 
-    def test_split_engine_selector_config_wins(self):
-        config = EngineConfig(engine="columnar", kernel="hash", callback_compute_units=3)
-        assert split_engine_selector(config, "merge_path", 10) == ("columnar", "hash", 3)
-        # Unset compute units keep the entry point's value.
-        config = EngineConfig(engine="columnar", kernel="binary_search")
-        assert split_engine_selector(config, "merge_path", 10) == (
-            "columnar",
-            "binary_search",
-            10,
+    def test_resolve_request_config_wins(self):
+        config = EngineConfig(
+            engine="legacy",
+            kernel="hash",
+            callback_compute_units=3,
+            backend="process",
+            workers=2,
+            storage="resident",
         )
-        # Plain strings / None pass straight through.
-        assert split_engine_selector("legacy", "merge_path", 10) == (
-            "legacy",
-            "merge_path",
-            10,
+        spec, request = resolve_request(
+            config,
+            dodgr=None,
+            kernel="merge_path",
+            callback_compute_units=10,
+            backend="simulated",
+            workers=4,
+            storage=None,
         )
-        assert split_engine_selector(None, "hash", 0) == (None, "hash", 0)
-        # A config (or spec) that does NOT pin the kernel must preserve the
-        # caller's explicit kernel= argument, never reset it to merge_path.
-        assert split_engine_selector(EngineConfig(engine="columnar"), "hash", 7) == (
+        assert spec is resolve_engine("legacy")
+        assert (
+            request.kernel,
+            request.callback_compute_units,
+            request.backend,
+            request.workers,
+            request.storage,
+        ) == ("hash", 3, "process", 2, "resident")
+
+    def test_resolve_request_keeps_loose_keywords_config_leaves_unset(self):
+        # A config (or spec, name, None) that does NOT pin a field must
+        # preserve the caller's loose keyword, never reset it to a default.
+        for selector in (
+            EngineConfig(engine="columnar"),
+            resolve_engine("columnar"),
             "columnar",
+            None,
+        ):
+            spec, request = resolve_request(
+                selector, dodgr=None, kernel="hash", callback_compute_units=7, workers=3
+            )
+            assert spec.name == "columnar"
+            assert request.kernel == "hash"
+            assert request.callback_compute_units == 7
+            assert request.workers == 3
+            assert request.backend == "simulated"
+
+    def test_resolve_request_updates_a_given_request(self):
+        base = SurveyRequest(dodgr=None, algorithm="push", kernel="hash")
+        _, request = resolve_request(EngineConfig(storage="mmap"), base)
+        assert (request.algorithm, request.kernel, request.storage) == (
+            "push",
             "hash",
-            7,
+            "mmap",
         )
-        assert split_engine_selector(resolve_engine("columnar"), "hash", 7) == (
-            "columnar",
-            "hash",
-            7,
-        )
+        assert base.storage is None  # the caller's request is not mutated
 
     def test_analysis_keeps_columnar_default_with_kernel_only_config(
         self, small_er, monkeypatch
     ):
         """The analysis layer's documented columnar default survives a
         kernel-only EngineConfig (the 'pin just the kernel' use)."""
-        import repro.core.push_pull as push_pull_module
         from repro.analysis import run_clustering_coefficients
 
         resolved = []
-        real = push_pull_module.resolve_engine
+        real = registry_module.resolve_engine
 
         def recording_resolve(engine=None):
             spec = real(engine)
             resolved.append(spec.name)
             return spec
 
-        monkeypatch.setattr(push_pull_module, "resolve_engine", recording_resolve)
+        monkeypatch.setattr(registry_module, "resolve_engine", recording_resolve)
         world = World(4)
         graph = small_er.to_distributed(world)
         run_clustering_coefficients(graph, engine=EngineConfig(kernel="hash"))
@@ -253,12 +279,122 @@ class TestValidateRequest:
             triangle_survey_push(dodgr, storage="disk")
 
 
+#: Every full-survey entry point, called as ``run(dodgr, engine)``.
+FULL_ENTRY_POINTS = {
+    "triangle_survey_push": lambda dodgr, engine: triangle_survey_push(
+        dodgr, engine=engine
+    ),
+    "triangle_survey_push_pull": lambda dodgr, engine: triangle_survey_push_pull(
+        dodgr, engine=engine
+    ),
+    "triangle_survey": lambda dodgr, engine: triangle_survey(dodgr, engine=engine),
+    "execute_survey": lambda dodgr, engine: execute_survey(
+        SurveyRequest(dodgr=dodgr), engine=engine
+    ),
+    "run_survey_with_recovery": lambda dodgr, engine: run_survey_with_recovery(
+        dodgr, LocalTriangleCounter, engine=engine
+    ),
+}
+
+#: The delta entry points, called as ``run(world, applied, engine)``.
+DELTA_ENTRY_POINTS = {
+    "incremental_triangle_survey": lambda world, applied, engine: (
+        incremental_triangle_survey(applied.dodgr, applied, engine=engine)
+    ),
+    "StreamingSurvey": lambda world, applied, engine: StreamingSurvey(
+        world, TriangleCounter, engine=engine
+    ),
+    "SurveyService": lambda world, applied, engine: SurveyService(
+        world, engine=engine
+    ),
+}
+
+
+def delta_world():
+    """A world holding one applied batch, with one barrier on its stats."""
+    world = World(4)
+    applied = applied_triangle_delta(world)
+    world.barrier()  # a counter that reset_stats() would clear
+    return world, applied
+
+
+class TestSelectorMatrix:
+    """Every entry point honours every EngineConfig field, or rejects it early."""
+
+    @pytest.mark.parametrize("entry", sorted(FULL_ENTRY_POINTS))
+    def test_unknown_kernel_rejected_by_full_surveys(self, small_er, entry):
+        world, dodgr = build_dodgr(small_er, 4)
+        handlers = len(world.registry)
+        with pytest.raises(ValueError, match="unknown intersection kernel 'nope'"):
+            FULL_ENTRY_POINTS[entry](dodgr, EngineConfig(kernel="nope"))
+        assert len(world.registry) == handlers
+        assert world.fault_injector is None
+
+    @pytest.mark.parametrize("entry", sorted(DELTA_ENTRY_POINTS))
+    def test_unknown_kernel_rejected_by_delta_entry_points(self, entry):
+        world, applied = delta_world()
+        handlers = len(world.registry)
+        with pytest.raises(ValueError, match="unknown intersection kernel 'nope'"):
+            DELTA_ENTRY_POINTS[entry](world, applied, EngineConfig(kernel="nope"))
+        assert len(world.registry) == handlers
+        assert world.stats.barriers == 1
+
+    @pytest.mark.parametrize("entry", sorted(FULL_ENTRY_POINTS))
+    def test_mmap_storage_spills_on_full_surveys(self, small_er, entry):
+        world, dodgr = build_dodgr(small_er, 4)
+        assert not active_segment_paths()
+        FULL_ENTRY_POINTS[entry](dodgr, EngineConfig(storage="mmap"))
+        assert dodgr.storage_config().mode == "mmap"
+        assert active_segment_paths()
+        dodgr.release()
+        assert not active_segment_paths()
+
+    def test_mmap_storage_spills_on_service_exact_queries(self, small_er):
+        service = SurveyService(World(4), engine=EngineConfig(storage="mmap"))
+        service.ingest(small_er.edges)
+        answer = service.query("triangle")
+        assert answer.outcome == "exact"
+        assert active_segment_paths()
+        service.close()
+        assert not active_segment_paths()
+
+    @pytest.mark.parametrize(
+        "config,error,message",
+        [
+            (EngineConfig(backend="process"), UnsupportedBackendError, "simulated"),
+            (EngineConfig(storage="mmap"), ValueError, "storage='mmap'"),
+        ],
+        ids=["process", "mmap"],
+    )
+    @pytest.mark.parametrize(
+        "entry", ["incremental_triangle_survey", "StreamingSurvey"]
+    )
+    def test_delta_entry_points_reject_unsupported_axes_up_front(
+        self, entry, config, error, message
+    ):
+        world, applied = delta_world()
+        handlers = len(world.registry)
+        with pytest.raises(error, match=message):
+            DELTA_ENTRY_POINTS[entry](world, applied, config)
+        # Nothing registered, stats untouched: no batch was consumed.
+        assert len(world.registry) == handlers
+        assert world.stats.barriers == 1
+        assert not active_segment_paths()
+
+    def test_service_rejects_process_backend_up_front(self):
+        world, applied = delta_world()
+        handlers = len(world.registry)
+        with pytest.raises(UnsupportedBackendError, match="deadlines"):
+            DELTA_ENTRY_POINTS["SurveyService"](
+                world, applied, EngineConfig(backend="process")
+            )
+        assert len(world.registry) == handlers
+        assert world.fault_injector is None
+
+
 class TestDefaults:
     def test_every_entry_point_defaults_to_columnar(self, small_er, monkeypatch):
         """engine=None resolves to columnar at every entry point."""
-        import repro.core.incremental as incremental_module
-        import repro.core.push_pull as push_pull_module
-        import repro.core.survey as survey_module
         from repro.analysis import (
             run_closure_time_survey,
             run_clustering_coefficients,
@@ -267,19 +403,17 @@ class TestDefaults:
             run_streaming_closure_time_survey,
             truss_decomposition,
         )
-        from repro.core.incremental import StreamingSurvey
-        from repro.service import SurveyService
-
         resolved = []
-        for module in (survey_module, push_pull_module, incremental_module):
-            real = module.resolve_engine
+        real = registry_module.resolve_engine
 
-            def recording_resolve(engine=None, _real=real):
-                spec = _real(engine)
-                resolved.append(spec.name)
-                return spec
+        def recording_resolve(engine=None):
+            spec = real(engine)
+            resolved.append(spec.name)
+            return spec
 
-            monkeypatch.setattr(module, "resolve_engine", recording_resolve)
+        # Every entry point resolves its selector through resolve_request,
+        # which looks the engine up in the registry module.
+        monkeypatch.setattr(registry_module, "resolve_engine", recording_resolve)
 
         world, dodgr = build_dodgr(small_er, 4)
         triangle_survey(dodgr)

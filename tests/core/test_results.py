@@ -81,3 +81,41 @@ class TestFromWorldStats:
         for key in ("graph", "algorithm", "nodes", "triangles", "sim_seconds", "comm_bytes"):
             assert key in row
         assert row["sim_seconds[push]"] == report.phase_seconds("push")
+
+
+class TestReportTypes:
+    """Reports hold plain Python numbers on every storage mode."""
+
+    @pytest.mark.parametrize("storage", ["resident", "mmap"])
+    @pytest.mark.parametrize("algorithm", ["push", "push_pull"])
+    def test_counters_are_python_numbers_and_row_serializes(
+        self, small_er, algorithm, storage
+    ):
+        import json
+
+        from repro.core import triangle_survey
+        from repro.core.callbacks import TriangleCounter
+        from repro.graph import DODGraph
+        from repro.runtime import World
+
+        world = World(4)
+        dodgr = DODGraph.build(small_er.to_distributed(world), mode="bulk")
+        counter = TriangleCounter(world)
+        report = triangle_survey(
+            dodgr, counter.callback, algorithm=algorithm, storage=storage
+        )
+        dodgr.release()
+        if algorithm == "push_pull":
+            assert report.vertices_pulled > 0  # the pull phase ran
+        for name in (
+            "triangles",
+            "wedge_checks",
+            "communication_bytes",
+            "wire_messages",
+            "vertices_pulled",
+        ):
+            assert type(getattr(report, name)) is int, name
+        assert type(report.simulated_seconds) is float
+        for name in report.phases:
+            assert type(report.phase_seconds(name)) is float, name
+        json.dumps(report.as_row())

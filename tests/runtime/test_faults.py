@@ -69,11 +69,13 @@ def run_survey(engine, plan=None, algorithm="push"):
     request = SurveyRequest(
         dodgr=dodgr, callback=reducer.callback, algorithm=algorithm
     )
-    if engine == "columnar-mmap":
+    spilled = engine == "columnar-mmap"
+    if spilled:
         storage = StorageConfig(mode="mmap", chunk_candidates=256)
         engine = EngineConfig(engine="columnar", storage=storage)
     report = execute_survey(request, engine=engine).report
     reducer.finalize()
+    assert bool(active_segment_paths()) == spilled
     dodgr.release()
     assert not active_segment_paths()
     return (
