@@ -30,11 +30,12 @@ from _artifacts import emit, emit_json
 from repro.bench import format_table, load_dataset
 from repro.core import intersection as intersection_mod
 from repro.core.callbacks import TriangleCounter
-from repro.core.engine import DEFAULT_CALLBACK_COMPUTE_UNITS, resolve_batch_callback
+from repro.core.engine import DEFAULT_CALLBACK_COMPUTE_UNITS
 from repro.core.engine.driver import (
     drive_columnar_push,
     legacy_push_payload_overhead,
-    make_columnar_intersect_handler,
+    make_columnar_push_handler,
+    make_columnar_wedge_check,
 )
 from repro.core.intersection import (
     ROW_KERNELS,
@@ -226,12 +227,11 @@ def capture_row_calls(dataset):
         return base(candidates, offsets, seg_rows, adjacency)
 
     handler = world.register_handler(
-        make_columnar_intersect_handler(
+        make_columnar_push_handler(
             dodgr,
-            recording_kernel,
-            reducer.callback,
-            resolve_batch_callback(reducer.callback),
-            DEFAULT_CALLBACK_COMPUTE_UNITS,
+            make_columnar_wedge_check(
+                recording_kernel, reducer.callback, DEFAULT_CALLBACK_COMPUTE_UNITS
+            ),
         )
     )
     overhead = legacy_push_payload_overhead(handler.handler_id)

@@ -42,8 +42,8 @@ from repro.core.engine import DEFAULT_CALLBACK_COMPUTE_UNITS, engine_names
 from repro.core.engine.driver import (
     drive_columnar_push,
     legacy_push_payload_overhead,
-    make_columnar_intersect_handler,
-    resolve_batch_callback,
+    make_columnar_push_handler,
+    make_columnar_wedge_check,
 )
 from repro.core.intersection import ROW_KERNELS
 from repro.core.push_pull import triangle_survey_push_pull
@@ -266,12 +266,13 @@ def run_columnar_direct(dataset):
     world, dodgr, reducer = _build_columnar_fixture(dataset)
     world.reset_stats()
     handler = world.register_handler(
-        make_columnar_intersect_handler(
+        make_columnar_push_handler(
             dodgr,
-            ROW_KERNELS["merge_path"],
-            reducer.callback,
-            resolve_batch_callback(reducer.callback),
-            DEFAULT_CALLBACK_COMPUTE_UNITS,
+            make_columnar_wedge_check(
+                ROW_KERNELS["merge_path"],
+                reducer.callback,
+                DEFAULT_CALLBACK_COMPUTE_UNITS,
+            ),
         )
     )
     overhead = legacy_push_payload_overhead(handler.handler_id)

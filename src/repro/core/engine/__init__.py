@@ -12,11 +12,13 @@ survey execution end to end:
   selector threaded through ``analysis/*``, ``bench/*`` and the CLIs, and
   :func:`resolve_request`, the one place every entry point reads it;
 * :mod:`~repro.core.engine.driver` / :mod:`~repro.core.engine.pull` /
-  :mod:`~repro.core.engine.delta` — the shared driver core: candidate
-  stream construction over ``CSRAdjacency``/``RowAdjacency``, intersect
-  handler setup, :class:`~repro.graph.metadata.TriangleBatch` delivery via
-  :func:`resolve_batch_callback`, and bulk wire accounting that keeps every
-  engine byte-identical on Table 4;
+  :mod:`~repro.core.engine.delta` — the shared driver core: one
+  wedge-check step per engine (intersect, count, deliver — as a
+  :class:`~repro.graph.metadata.TriangleBatch` via
+  :func:`resolve_batch_callback` on the columnar engine), the push, pull
+  and delta handlers as thin adapters over it, candidate stream
+  construction over ``CSRAdjacency``/``RowAdjacency``, and bulk wire
+  accounting that keeps every engine byte-identical on Table 4;
 * :mod:`~repro.core.engine.segments` — the shared ragged-array utilities;
 * :mod:`~repro.core.engine.push` / :mod:`~repro.core.engine.push_pull` —
   the Push-Only and Push-Pull runners, one driver loop each.
@@ -30,10 +32,11 @@ Adding an engine
 
 There are two engines, and the runners branch on
 :attr:`EngineSpec.columnar` at each phase.  A new engine is therefore a
-new driver per phase (push handler and drive in
-:mod:`~repro.core.engine.driver`, pull handler and drive in
-:mod:`~repro.core.engine.pull`, delta handlers in
-:mod:`~repro.core.engine.delta`) plus an entry in the registry table.  It
+new wedge-check step (:mod:`~repro.core.engine.driver`) plus its handler
+adapters and a driver per phase (push in
+:mod:`~repro.core.engine.driver`, pull in :mod:`~repro.core.engine.pull`,
+delta in :mod:`~repro.core.engine.delta`) and an entry in the registry
+table.  It
 must stay on the equivalence contract against ``legacy``: identical
 reducer panels and byte-identical wire totals.
 ``tools/check_engines.py`` smoke-checks that for every registered engine,

@@ -3,48 +3,45 @@
 :func:`repro.core.incremental.incremental_triangle_survey` surveys exactly
 the triangles containing at least one edge of an applied batch
 (:class:`~repro.graph.delta.AppliedDelta`), via the wedge decomposition
-documented in :mod:`repro.core.incremental`.  This module holds the delta
-form of each engine:
+documented in :mod:`repro.core.incremental`.  Each wedge lands in one of
+two candidate streams: the full-check stream is checked against all of
+``Adj^m_+(q)``, the new-check stream against the delta's new entries of
+it only.  Both handlers are the engine's push adapter over its one
+wedge-check step (:mod:`repro.core.engine.driver`); they differ only in
+the q adjacency they read (:func:`make_delta_handlers`).  The drivers
+build the streams:
 
 * ``legacy`` — the scalar reference: one sized RPC per (wedge, stream)
-  carrying the filtered candidate tuples, intersected per message with the
-  scalar kernels (the parity oracle);
+  carrying the filtered candidate tuples (the parity oracle);
 * ``columnar`` — candidate selection as boolean array masks over the CSR
   edge positions, one coalesced RPC per (source rank, destination rank,
-  stream), row-kernel intersection, lazy
-  :class:`~repro.graph.metadata.TriangleBatch` delivery.  Every replaced
+  stream) through the push driver's
+  :func:`~repro.core.engine.driver.send_by_destination`.  Every replaced
   legacy message is accounted — in legacy send order, through the real
   buffer bank — at its exact serialized size.
-
-Both compose the same shared driver core as the full-survey engines
-(:mod:`repro.core.engine.driver`, :mod:`repro.core.engine.segments`).
 """
 
 from __future__ import annotations
 
 import weakref
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 import numpy as np
 
 from ...graph.delta import AppliedDelta
-from ...graph.dodgr import DODGraph, entry_key
-from ...graph.metadata import TriangleMetadata
+from ...graph.dodgr import DODGraph
 from ...runtime.serialization import uvarint_size_array
 from ..intersection import RowAdjacency
 from .driver import (
-    candidate_key,
-    columnar_push_batch,
-    deliver_batch,
-    row_adjacency,
+    make_columnar_push_handler,
+    make_legacy_push_handler,
+    send_by_destination,
 )
-from .request import TriangleCallback
 from .segments import ragged_gather
 
 __all__ = [
     "new_source_vertices",
-    "make_delta_columnar_handler",
-    "make_delta_legacy_handlers",
+    "make_delta_handlers",
     "drive_columnar_delta",
     "drive_legacy_delta",
 ]
@@ -105,75 +102,39 @@ def _delta_row_adjacency(delta: AppliedDelta, rank: int) -> Tuple[RowAdjacency, 
     return cached
 
 
-# ---------------------------------------------------------------------------
-# Columnar engine
-# ---------------------------------------------------------------------------
+def make_delta_handlers(columnar: bool, dodgr: DODGraph, delta: AppliedDelta, check):
+    """The (full-check, new-check) handler pair of the engine's delta survey.
 
-
-class _DeltaStreamResult:
-    """A :class:`~repro.core.intersection.RowBatchResult` view with remapped
-    adjacency positions (filtered new-entry positions -> full CSR positions)."""
-
-    __slots__ = ("seg", "cand_pos", "adj_pos", "comparisons")
-
-    def __init__(self, result, adj_pos) -> None:
-        self.seg = result.seg
-        self.cand_pos = result.cand_pos
-        self.adj_pos = adj_pos
-        self.comparisons = result.comparisons
-
-    def __len__(self) -> int:
-        return len(self.seg)
-
-
-def make_delta_columnar_handler(
-    dodgr: DODGraph,
-    delta: AppliedDelta,
-    row_kernel,
-    callback: Optional[TriangleCallback],
-    batch_callback,
-    per_triangle_compute: int,
-    new_only: bool,
-):
-    """Owner-side handler of one coalesced delta candidate stream.
-
-    One RPC per (source rank, destination rank, stream): ``rows``/
-    ``qpositions`` locate the stream's wedges in the source CSR and
-    ``flat_src_pos``/``offsets`` its (filtered, per-wedge segmented)
-    candidate positions.  ``new_only=False`` intersects against the full
-    destination adjacency, ``new_only=True`` against the delta's new entries
-    only; either way matched triangles flow to the reducer as one
-    :class:`~repro.graph.metadata.TriangleBatch`.
+    Both are push adapters over the wedge check ``check``; the new-check
+    handler reads only the delta's new entries of ``Adj^m_+(q)``.
     """
-
-    def _handler(ctx, src_csr, rows, qpositions, flat_src_pos, offsets) -> None:
-        ctx.add_counter("wedge_checks", len(flat_src_pos))
-        dest_csr = dodgr.csr(ctx)
-        q_rows = dodgr.rows_by_order_id()[src_csr.tgt_ids[qpositions]]
-        candidate_ids = src_csr.tgt_ids[flat_src_pos]
-        if new_only:
-            adjacency, new_to_orig = _delta_row_adjacency(delta, ctx.rank)
-        else:
-            adjacency = row_adjacency(dest_csr, dodgr.order_count())
-        result = row_kernel(candidate_ids, offsets, q_rows, adjacency)
-        ctx.add_compute(int(result.comparisons))
-        matches = len(result)
-        if not matches:
-            return
-        ctx.add_counter("triangles_found", matches)
-        if callback is None:
-            return
-        ctx.add_compute(per_triangle_compute * matches)
-        if new_only:
-            result = _DeltaStreamResult(
-                result, new_to_orig[np.asarray(result.adj_pos, dtype=np.int64)]
-            )
-        batch = columnar_push_batch(
-            src_csr, dest_csr, rows, qpositions, q_rows, flat_src_pos, result
+    if columnar:
+        return (
+            make_columnar_push_handler(dodgr, check),
+            make_columnar_push_handler(
+                dodgr, check, lambda ctx: _delta_row_adjacency(delta, ctx.rank)
+            ),
         )
-        deliver_batch(ctx, batch, callback, batch_callback)
+    # Owner-side new-entry views of the scalar engine, precomputed so
+    # mid-drive buffer flushes (which execute handlers) never observe a
+    # partially built cache.  The columnar engine derives its filtered
+    # RowAdjacency from the edge masks instead.
+    new_adj_by_rank = [delta.new_adjacency(r) for r in range(dodgr.world.nranks)]
+    return (
+        make_legacy_push_handler(dodgr, check),
+        make_legacy_push_handler(
+            dodgr,
+            check,
+            lambda ctx, q: [
+                entry for entry, _pos in new_adj_by_rank[ctx.rank].get(q, ())
+            ],
+        ),
+    )
 
-    return _handler
+
+# ---------------------------------------------------------------------------
+# Columnar driver
+# ---------------------------------------------------------------------------
 
 
 def _sort_wedge_groups(qpos, cand):
@@ -337,7 +298,6 @@ def drive_columnar_delta(
                 "qpos": qpos,
                 "rows": row_of_edge[qpos],
                 "counts": counts,
-                "offsets": offsets,
                 "cand": cand,
                 "sizes": sizes,
                 "dests": cols.tgt_owner[qpos],
@@ -360,102 +320,16 @@ def drive_columnar_delta(
     ctx.account_rpc_bulk(acc_dests, acc_sizes)
 
     for stream, handler in zip(streams, (h_full, h_new)):
-        if stream is None:
-            continue
-        dests = stream["dests"]
-        dest_order = np.argsort(dests, kind="stable")
-        dests_sorted = dests[dest_order]
-        unique_dests, group_starts = np.unique(dests_sorted, return_index=True)
-        bounds = group_starts.tolist() + [dests_sorted.size]
-        # Regroup the candidate sub-stream by destination rank.
-        gather, new_offsets = ragged_gather(
-            stream["offsets"][:-1][dest_order], stream["counts"][dest_order]
-        )
-        pos_sorted = stream["cand"][gather]
-        rows_sorted = stream["rows"][dest_order]
-        qpos_sorted = stream["qpos"][dest_order]
-        sizes_sorted = stream["sizes"][dest_order]
-        for g, dest in enumerate(unique_dests.tolist()):
-            lo, hi = bounds[g], bounds[g + 1]
-            ctx.async_call_batched(
-                dest,
-                handler,
-                csr,
-                rows_sorted[lo:hi],
-                qpos_sorted[lo:hi],
-                pos_sorted[new_offsets[lo] : new_offsets[hi]],
-                new_offsets[lo : hi + 1] - new_offsets[lo],
-                virtual_rpcs=hi - lo,
-                virtual_bytes=int(sizes_sorted[lo:hi].sum()),
+        if stream is not None:
+            send_by_destination(
+                ctx, dodgr, csr, handler, stream["dests"], stream["sizes"],
+                stream["rows"], stream["qpos"], stream["counts"], cand=stream["cand"],
             )
 
 
 # ---------------------------------------------------------------------------
-# Legacy (scalar reference) engine
+# Legacy (scalar reference) driver
 # ---------------------------------------------------------------------------
-
-
-def make_delta_legacy_handlers(
-    dodgr: DODGraph,
-    intersect,
-    callback: Optional[TriangleCallback],
-    per_triangle_compute: int,
-    new_adj_by_rank,
-):
-    """Build the scalar reference's (full-check, new-check) handler pair."""
-
-    def _full_intersect_handler(ctx, q, p, meta_p, meta_pq, candidates) -> None:
-        """Check filtered candidates against the full Adj^m_+(q)."""
-        record = dodgr.local_store(ctx).get(q)
-        ctx.add_counter("wedge_checks", len(candidates))
-        if record is None:
-            return
-        adjacency = record["adj"]
-        meta_q = record["meta"]
-        result = intersect(candidates, adjacency, candidate_key, entry_key)
-        ctx.add_compute(result.comparisons)
-        for cand_idx, adj_idx in result.matches:
-            r, _d_r, meta_pr = candidates[cand_idx]
-            _, _, meta_qr, meta_r = adjacency[adj_idx]
-            ctx.add_counter("triangles_found", 1)
-            if callback is not None:
-                ctx.add_compute(per_triangle_compute)
-                callback(
-                    ctx,
-                    TriangleMetadata(
-                        p=p, q=q, r=r,
-                        meta_p=meta_p, meta_q=meta_q, meta_r=meta_r,
-                        meta_pq=meta_pq, meta_pr=meta_pr, meta_qr=meta_qr,
-                    ),
-                )
-
-    def _new_intersect_handler(ctx, q, p, meta_p, meta_pq, candidates) -> None:
-        """Check old-old candidates against only the new entries of Adj^m_+(q)."""
-        record = dodgr.local_store(ctx).get(q)
-        ctx.add_counter("wedge_checks", len(candidates))
-        if record is None:
-            return
-        filtered = new_adj_by_rank[ctx.rank].get(q, ())
-        meta_q = record["meta"]
-        entries = [entry for entry, _pos in filtered]
-        result = intersect(candidates, entries, candidate_key, entry_key)
-        ctx.add_compute(result.comparisons)
-        for cand_idx, adj_idx in result.matches:
-            r, _d_r, meta_pr = candidates[cand_idx]
-            _, _, meta_qr, meta_r = entries[adj_idx]
-            ctx.add_counter("triangles_found", 1)
-            if callback is not None:
-                ctx.add_compute(per_triangle_compute)
-                callback(
-                    ctx,
-                    TriangleMetadata(
-                        p=p, q=q, r=r,
-                        meta_p=meta_p, meta_q=meta_q, meta_r=meta_r,
-                        meta_pq=meta_pq, meta_pr=meta_pr, meta_qr=meta_qr,
-                    ),
-                )
-
-    return _full_intersect_handler, _new_intersect_handler
 
 
 def drive_legacy_delta(

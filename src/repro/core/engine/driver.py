@@ -1,18 +1,28 @@
-"""Shared driver core: the push-side machinery every engine composes.
+"""Shared driver core: one wedge-check step per engine, and the push drivers.
 
-One survey algorithm, two communication strategies — this module holds the
-push-side implementations of both engines:
+TriPoll's survey has one inner step: intersect p's adjacency suffix after
+q with ``Adj^m_+(q)`` and hand every closing triangle Δpqr, with its six
+metadata pieces, to the callback.  This module writes that step once per
+engine:
 
-* **handler factories** build the owner-side RPC handler that intersects a
-  candidate stream against ``Adj^m_+(q)`` and delivers the closing
-  triangles to the user callback (scalar) or its ``callback_batch``
-  counterpart (columnar :class:`~repro.graph.metadata.TriangleBatch`);
-* **drivers** walk one rank's pivots and generate its candidate stream at
-  the engine's granularity — one RPC per wedge (legacy) or per (source
-  rank, destination rank) pair (columnar) — while accounting every
-  *replaced* legacy message at its exact serialized size
-  (``account_rpc``/``account_rpc_bulk`` against the real buffer bank),
-  which is what keeps Table 4 byte-identical across engines.
+* :func:`make_legacy_wedge_check` — one scalar ``intersect`` call per
+  wedge, one :class:`~repro.graph.metadata.TriangleMetadata` per triangle;
+* :func:`make_columnar_wedge_check` — a ragged candidate stream against
+  per-segment q rows in one row-kernel call, the triangles delivered to
+  ``callback_batch`` as one :class:`~repro.graph.metadata.TriangleBatch`
+  (:func:`csr_triangle_batch`) or to the scalar callback one at a time.
+
+The RPC handlers — push here, pull in :mod:`~repro.core.engine.pull`,
+delta full-check and new-check in :mod:`~repro.core.engine.delta` — are
+thin adapters over the step: they only say where the candidate stream
+and the q adjacency come from.
+
+The **drivers** walk one rank's pivots and generate its candidate stream
+at the engine's granularity — one RPC per wedge (legacy) or per (source
+rank, destination rank) pair (columnar, :func:`send_by_destination`) —
+while accounting every *replaced* legacy message at its exact serialized
+size (``account_rpc``/``account_rpc_bulk`` against the real buffer bank),
+which is what keeps Table 4 byte-identical across engines.
 
 The facades :func:`make_push_intersect_handler` and :func:`drive_push` are
 what the engine runners call; they pick the engine's implementation.
@@ -20,37 +30,34 @@ what the engine runners call; they pick the engine's implementation.
 
 from __future__ import annotations
 
-from typing import Any, List, Optional
+from typing import Optional
 
 import numpy as np
 
-from ...graph.degree import order_key
 from ...graph.dodgr import CSRAdjacency, DODGraph, entry_key
 from ...graph.ooc import stage_send_columns
 from ...graph.metadata import TriangleBatch, TriangleMetadata
 from ...runtime.serialization import serialized_size, uvarint_size_array
 from ..intersection import INTERSECTION_KERNELS, ROW_KERNELS, RowAdjacency
 from .request import TriangleCallback
+from .segments import ragged_gather
 
 __all__ = [
-    "candidate_key",
     "row_adjacency",
     "legacy_push_payload_overhead",
     "resolve_batch_callback",
-    "deliver_batch",
-    "columnar_push_batch",
-    "make_legacy_intersect_handler",
-    "make_columnar_intersect_handler",
+    "make_legacy_wedge_check",
+    "csr_triangle_batch",
+    "make_columnar_wedge_check",
+    "make_wedge_check",
+    "make_legacy_push_handler",
+    "make_columnar_push_handler",
     "make_push_intersect_handler",
     "drive_legacy_push",
+    "send_by_destination",
     "drive_columnar_push",
     "drive_push",
 ]
-
-
-def candidate_key(candidate: tuple) -> tuple:
-    """Sort key of a pushed candidate entry (r, d_r, meta_pr[, meta_r])."""
-    return order_key(candidate[0], candidate[1])
 
 
 def resolve_batch_callback(callback: Optional["TriangleCallback"]):
@@ -108,60 +115,227 @@ def legacy_push_payload_overhead(handler_id: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Legacy engine: one sized RPC per wedge, scalar intersection
+# The wedge-check step, once per engine
 # ---------------------------------------------------------------------------
 
 
-def make_legacy_intersect_handler(
-    dodgr: DODGraph,
-    intersect,
-    callback: Optional["TriangleCallback"],
-    per_triangle_compute: int,
+def make_legacy_wedge_check(
+    intersect, callback: Optional["TriangleCallback"], per_triangle_compute: int
 ):
-    """Build the owner-side handler of one per-wedge candidate push.
+    """The scalar engine's wedge check: one ``intersect`` call per wedge.
 
-    Executed on Rank(q): intersect the pushed candidates with ``Adj^m_+(q)``
-    and run the callback for every match.
+    ``check(ctx, p, q, meta_p, meta_q, meta_pq, suffix, adjacency)``
+    intersects p's ``suffix`` after q (the candidates) with q's
+    ``adjacency`` row, in that argument order: the comparison counts of
+    the asymmetric kernels depend on it.  ``adjacency`` is None when this
+    rank holds no record of q; the wedges still count as checked.  meta(r)
+    crosses the wire with neither list, so it is read from whichever one
+    is local — the list whose entries keep their fourth field (q's row on
+    a push, p's suffix on a pull).
     """
 
-    def _intersect_handler(
-        ctx,
-        q: Any,
-        p: Any,
-        meta_p: Any,
-        meta_pq: Any,
-        candidates: List[tuple],
-    ) -> None:
-        record = dodgr.local_store(ctx).get(q)
-        ctx.add_counter("wedge_checks", len(candidates))
-        if record is None:
+    def check(ctx, p, q, meta_p, meta_q, meta_pq, suffix, adjacency) -> None:
+        ctx.add_counter("wedge_checks", len(suffix))
+        if adjacency is None:
             return
-        adjacency = record["adj"]
-        meta_q = record["meta"]
-        result = intersect(candidates, adjacency, candidate_key, entry_key)
+        result = intersect(suffix, adjacency, entry_key, entry_key)
         ctx.add_compute(result.comparisons)
         for cand_idx, adj_idx in result.matches:
-            r, _d_r, meta_pr = candidates[cand_idx]
-            _, _, meta_qr, meta_r = adjacency[adj_idx]
             ctx.add_counter("triangles_found", 1)
             if callback is not None:
                 ctx.add_compute(per_triangle_compute)
+                candidate = suffix[cand_idx]
+                entry = adjacency[adj_idx]
                 callback(
                     ctx,
                     TriangleMetadata(
                         p=p,
                         q=q,
-                        r=r,
+                        r=candidate[0],
                         meta_p=meta_p,
                         meta_q=meta_q,
-                        meta_r=meta_r,
+                        meta_r=entry[3] if len(entry) == 4 else candidate[3],
                         meta_pq=meta_pq,
-                        meta_pr=meta_pr,
-                        meta_qr=meta_qr,
+                        meta_pr=candidate[2],
+                        meta_qr=entry[2],
                     ),
                 )
 
+    return check
+
+
+def csr_triangle_batch(
+    p_csr: CSRAdjacency,
+    p_rows,
+    pq_pos,
+    pr_pos,
+    q_csr: CSRAdjacency,
+    q_rows,
+    qr_pos,
+    meta_r_from_p: bool,
+) -> TriangleBatch:
+    """Triangles located by CSR positions, as a lazy :class:`TriangleBatch`.
+
+    Triangle ``i`` is p = row ``p_rows[i]`` and q = row ``q_rows[i]``;
+    edges (p, q) and (p, r) sit at ``pq_pos[i]``/``pr_pos[i]`` of
+    ``p_csr``'s edge arrays, edge (q, r) at ``qr_pos[i]`` of ``q_csr``'s.
+    meta(r) is read from ``p_csr``'s (p, r) entry when ``meta_r_from_p``,
+    else from ``q_csr``'s (q, r) entry.  Only the per-match index lists
+    are materialised eagerly; each column decodes from the CSR entry
+    tuples on first read.
+    """
+    p_rows = p_rows.tolist()
+    pq_pos = pq_pos.tolist()
+    pr_pos = pr_pos.tolist()
+    q_rows = q_rows.tolist()
+    qr_pos = qr_pos.tolist()
+    p_entries = p_csr.entries
+    q_entries = q_csr.entries
+    r_entries, r_pos = (p_entries, pr_pos) if meta_r_from_p else (q_entries, qr_pos)
+    builders = {
+        "p": lambda: [p_csr.row_vertices[row] for row in p_rows],
+        "meta_p": lambda: [p_csr.row_meta[row] for row in p_rows],
+        "q": lambda: [q_csr.row_vertices[row] for row in q_rows],
+        "meta_q": lambda: [q_csr.row_meta[row] for row in q_rows],
+        "meta_pq": lambda: [p_entries[pos][2] for pos in pq_pos],
+        "r": lambda: [p_entries[pos][0] for pos in pr_pos],
+        "meta_pr": lambda: [p_entries[pos][2] for pos in pr_pos],
+        "meta_qr": lambda: [q_entries[pos][2] for pos in qr_pos],
+        "meta_r": lambda: [r_entries[pos][3] for pos in r_pos],
+    }
+    return TriangleBatch(len(pr_pos), builders)
+
+
+def make_columnar_wedge_check(
+    row_kernel,
+    callback: Optional["TriangleCallback"],
+    per_triangle_compute: int,
+    meta_r_from_p: bool = False,
+):
+    """The columnar engine's wedge check: a whole candidate stream per call.
+
+    ``check(ctx, p_csr, p_rows, pq_pos, cand_pos, offsets, q_csr, q_rows,
+    adjacency, adj_to_csr=None)`` checks segment ``s`` — p = row
+    ``p_rows[s]`` of ``p_csr``, q at edge ``pq_pos[s]``, candidates at
+    ``p_csr`` edge positions ``cand_pos[offsets[s]:offsets[s + 1]]`` —
+    against row ``q_rows[s]`` of ``adjacency``, in one row-kernel call.
+    ``adjacency`` indexes its rows like ``q_csr``; ``adj_to_csr`` maps its
+    edge positions to ``q_csr``'s when it holds only part of each row
+    (None: the whole rows, same positions).  ``meta_r_from_p`` says which
+    CSR is local (see :func:`csr_triangle_batch`).
+    """
+    batch_callback = resolve_batch_callback(callback)
+
+    def check(
+        ctx, p_csr, p_rows, pq_pos, cand_pos, offsets, q_csr, q_rows, adjacency,
+        adj_to_csr=None,
+    ) -> None:
+        ctx.add_counter("wedge_checks", len(cand_pos))
+        result = row_kernel(p_csr.tgt_ids[cand_pos], offsets, q_rows, adjacency)
+        ctx.add_compute(int(result.comparisons))
+        matches = len(result)
+        if not matches:
+            return
+        ctx.add_counter("triangles_found", matches)
+        if callback is None:
+            return
+        ctx.add_compute(per_triangle_compute * matches)
+        seg = result.seg
+        qr_pos = result.adj_pos if adj_to_csr is None else adj_to_csr[result.adj_pos]
+        batch = csr_triangle_batch(
+            p_csr, p_rows[seg], pq_pos[seg], cand_pos[result.cand_pos],
+            q_csr, q_rows[seg], qr_pos, meta_r_from_p,
+        )
+        if batch_callback is not None:
+            batch_callback(ctx, batch)
+        else:
+            for tri in batch.triangles():
+                callback(ctx, tri)
+
+    return check
+
+
+def make_wedge_check(
+    columnar: bool,
+    kernel: str,
+    callback: Optional["TriangleCallback"],
+    per_triangle_compute: int,
+    meta_r_from_p: bool = False,
+):
+    """The wedge check of the columnar or legacy engine for kernel ``kernel``.
+
+    ``meta_r_from_p`` only concerns the columnar step; the legacy step
+    reads meta(r) from whichever list carries it.
+    """
+    if columnar:
+        return make_columnar_wedge_check(
+            ROW_KERNELS[kernel], callback, per_triangle_compute, meta_r_from_p
+        )
+    return make_legacy_wedge_check(
+        INTERSECTION_KERNELS[kernel], callback, per_triangle_compute
+    )
+
+
+# ---------------------------------------------------------------------------
+# Push adapters: the candidates arrive, Adj^m_+(q) is local
+# ---------------------------------------------------------------------------
+
+
+def make_legacy_push_handler(dodgr: DODGraph, check, q_row=None):
+    """Owner-side handler of one per-wedge candidate push (runs on Rank(q)).
+
+    ``q_row(ctx, q)`` picks the q adjacency the candidates are checked
+    against (default: all of ``Adj^m_+(q)``).
+    """
+
+    def _intersect_handler(ctx, q, p, meta_p, meta_pq, candidates) -> None:
+        record = dodgr.local_store(ctx).get(q)
+        meta_q = adjacency = None
+        if record is not None:
+            meta_q = record["meta"]
+            adjacency = record["adj"] if q_row is None else q_row(ctx, q)
+        check(ctx, p, q, meta_p, meta_q, meta_pq, candidates, adjacency)
+
     return _intersect_handler
+
+
+def make_columnar_push_handler(dodgr: DODGraph, check, q_adjacency=None):
+    """Owner-side handler of one coalesced candidate push (runs on Rank(q)).
+
+    One RPC per (source rank, destination rank) carries the wedges as two
+    index arrays into the source's :class:`CSRAdjacency` — pivot rows and
+    q positions.  A full push sends whole suffixes, which the handler
+    expands itself; a filtered stream (the delta engine's) also ships its
+    candidate positions and their per-wedge offsets.  ``q_adjacency(ctx)``
+    returns the ``(RowAdjacency, adj_to_csr)`` pair to check against
+    (default: the whole local CSR rows).
+    """
+
+    def _columnar_intersect_handler(
+        ctx, src_csr: CSRAdjacency, rows, qpositions, cand_pos=None, offsets=None
+    ) -> None:
+        if cand_pos is None:
+            starts = qpositions + 1
+            cand_pos, offsets = ragged_gather(
+                starts, src_csr.columns().indptr[rows + 1] - starts
+            )
+        dest_csr = dodgr.csr(ctx)
+        if q_adjacency is None:
+            adjacency, adj_to_csr = row_adjacency(dest_csr, dodgr.order_count()), None
+        else:
+            adjacency, adj_to_csr = q_adjacency(ctx)
+        q_rows = dodgr.rows_by_order_id()[src_csr.tgt_ids[qpositions]]
+        check(
+            ctx, src_csr, rows, qpositions, cand_pos, offsets,
+            dest_csr, q_rows, adjacency, adj_to_csr,
+        )
+
+    return _columnar_intersect_handler
+
+
+# ---------------------------------------------------------------------------
+# Push drivers
+# ---------------------------------------------------------------------------
 
 
 def drive_legacy_push(ctx, dodgr: DODGraph, handler, allowed=None) -> None:
@@ -190,111 +364,75 @@ def drive_legacy_push(ctx, dodgr: DODGraph, handler, allowed=None) -> None:
             ctx.async_call_sized(dodgr.owner(q), handler, q, p, meta_p, meta_pq, candidates)
 
 
-# ---------------------------------------------------------------------------
-# Columnar engine internals
-# ---------------------------------------------------------------------------
+def send_by_destination(
+    ctx, dodgr: DODGraph, csr: CSRAdjacency, handler, dests, sizes,
+    rows, qpositions, cand_counts, cand=None,
+) -> None:
+    """Fire one rank's accounted wedge stream, one batched RPC per destination.
 
-
-def columnar_push_batch(
-    src_csr: CSRAdjacency,
-    dest_csr: CSRAdjacency,
-    rows,
-    qpositions,
-    q_rows,
-    flat_src_pos,
-    result,
-) -> TriangleBatch:
-    """Wrap one columnar intersect result as a lazy :class:`TriangleBatch`.
-
-    Only the small per-match index lists are materialised eagerly; each
-    metadata column decodes from the CSR entry tuples on first read.
+    Wedge ``w`` — pivot row ``rows[w]``, q at ``qpositions[w]`` of ``csr``,
+    ``cand_counts[w]`` candidates, replacing a legacy message of
+    ``sizes[w]`` bytes bound for rank ``dests[w]`` — ships in stable wedge
+    order within its destination.  Each call carries ``(csr, rows,
+    qpositions)``, plus, when ``cand`` (the candidate positions, ragged by
+    ``cand_counts`` in wedge order) is given, the call's candidate
+    positions and their per-wedge offsets.
     """
-    wedge = result.seg
-    src_pos = flat_src_pos[result.cand_pos]
-    if hasattr(wedge, "tolist"):
-        p_rows = rows[wedge].tolist()
-        q_pos = qpositions[wedge].tolist()
-        qrow_list = q_rows[wedge].tolist()
-        src_pos = src_pos.tolist()
-        adj_pos = result.adj_pos.tolist()
-    else:  # scalar row-kernel results carry plain lists (small-input cutoff)
-        p_rows = [rows[w] for w in wedge]
-        q_pos = [qpositions[w] for w in wedge]
-        qrow_list = [q_rows[w] for w in wedge]
-        src_pos = list(src_pos)
-        adj_pos = list(result.adj_pos)
-    src_entries = src_csr.entries
-    dest_entries = dest_csr.entries
-    builders = {
-        "p": lambda: [src_csr.row_vertices[row] for row in p_rows],
-        "meta_p": lambda: [src_csr.row_meta[row] for row in p_rows],
-        "q": lambda: [dest_csr.row_vertices[row] for row in qrow_list],
-        "meta_q": lambda: [dest_csr.row_meta[row] for row in qrow_list],
-        "meta_pq": lambda: [src_entries[pos][2] for pos in q_pos],
-        "r": lambda: [src_entries[pos][0] for pos in src_pos],
-        "meta_pr": lambda: [src_entries[pos][2] for pos in src_pos],
-        "meta_qr": lambda: [dest_entries[pos][2] for pos in adj_pos],
-        "meta_r": lambda: [dest_entries[pos][3] for pos in adj_pos],
-    }
-    return TriangleBatch(len(src_pos), builders)
-
-
-def deliver_batch(ctx, batch, callback, batch_callback) -> None:
-    """Hand a triangle batch to the reducer: columnar when it can, scalar else."""
-    if batch_callback is not None:
-        batch_callback(ctx, batch)
-    else:
-        for tri in batch.triangles():
-            callback(ctx, tri)
-
-
-def make_columnar_intersect_handler(
-    dodgr: DODGraph,
-    row_kernel,
-    callback: Optional["TriangleCallback"],
-    batch_callback,
-    per_triangle_compute: int,
-):
-    """Build the owner-side handler of one columnar candidate push.
-
-    The handler receives *every* wedge a source rank generated for targets
-    this rank owns — one RPC per (source, destination) pair — as two index
-    arrays into the source's :class:`CSRAdjacency`.  All candidate suffixes
-    are intersected against their respective ``Adj^m_+(q)`` rows in one
-    row-kernel call, and the resulting triangles are delivered to the
-    reducer as one :class:`~repro.graph.metadata.TriangleBatch`.
-    """
-
-    def _columnar_intersect_handler(ctx, src_csr: CSRAdjacency, rows, qpositions) -> None:
-        src_cols = src_csr.columns()
-        starts = qpositions + 1
-        ends = src_cols.indptr[rows + 1]
-        seg_lengths = ends - starts
-        total = int(seg_lengths.sum())
-        ctx.add_counter("wedge_checks", total)
-        dest_csr = dodgr.csr(ctx)
-        q_rows = dodgr.rows_by_order_id()[src_csr.tgt_ids[qpositions]]
-        offsets = np.concatenate(([0], np.cumsum(seg_lengths)))
-        flat_src_pos = np.arange(total, dtype=np.int64) + np.repeat(
-            starts - offsets[:-1], seg_lengths
+    order = np.argsort(dests, kind="stable")
+    dests_sorted = dests[order]
+    unique_dests, group_starts = np.unique(dests_sorted, return_index=True)
+    bounds = group_starts.tolist() + [dests_sorted.size]
+    rows_sorted = rows[order]
+    qpos_sorted = qpositions[order]
+    sizes_sorted = sizes[order]
+    # Candidate-stream chunking (out-of-core storage): cap the number of
+    # candidates any single batched delivery carries, so the owner-side
+    # handler's transient arrays stay within the configured memory budget
+    # while the spilled CSR columns page in from disk.  Chunks are cut at
+    # wedge boundaries in the same stable destination order, so per-dest
+    # FIFO delivery, every counter, and the virtual rpc/byte sums are
+    # identical to the single-call form (``chunk=None`` — resident storage
+    # — reproduces it exactly).
+    chunk = dodgr.chunk_candidates()
+    cand_offsets = None
+    if cand is not None:
+        gather, cand_offsets = ragged_gather(
+            (np.cumsum(cand_counts) - cand_counts)[order], cand_counts[order]
         )
-        candidate_ids = src_csr.tgt_ids[flat_src_pos]
-        adjacency = row_adjacency(dest_csr, dodgr.order_count())
-        result = row_kernel(candidate_ids, offsets, q_rows, adjacency)
-        ctx.add_compute(int(result.comparisons))
-        matches = len(result)
-        if not matches:
-            return
-        ctx.add_counter("triangles_found", matches)
-        if callback is None:
-            return
-        ctx.add_compute(per_triangle_compute * matches)
-        batch = columnar_push_batch(
-            src_csr, dest_csr, rows, qpositions, q_rows, flat_src_pos, result
-        )
-        deliver_batch(ctx, batch, callback, batch_callback)
-
-    return _columnar_intersect_handler
+        cand = cand[gather]
+    elif chunk is not None:
+        cand_offsets = np.concatenate(([0], np.cumsum(cand_counts[order])))
+    if chunk is not None:
+        # The payload slices below stay enqueued until the barrier delivers
+        # them; staging the sorted columns in the snapshot's disk-backed
+        # scratch keeps that retained set out of process memory (the
+        # in-memory arrays die when this drive returns).
+        rows_sorted, qpos_sorted = stage_send_columns(csr, rows_sorted, qpos_sorted)
+    for g, dest in enumerate(unique_dests.tolist()):
+        lo, hi = bounds[g], bounds[g + 1]
+        start = lo
+        while start < hi:
+            stop = hi
+            if chunk is not None:
+                stop = int(
+                    np.searchsorted(
+                        cand_offsets[1:], cand_offsets[start] + chunk, side="right"
+                    )
+                )
+                stop = min(max(stop, start + 1), hi)  # an oversize wedge still ships
+            payload = [rows_sorted[start:stop], qpos_sorted[start:stop]]
+            if cand is not None:
+                lo_c, hi_c = cand_offsets[start], cand_offsets[stop]
+                payload += [cand[lo_c:hi_c], cand_offsets[start : stop + 1] - lo_c]
+            ctx.async_call_batched(
+                dest,
+                handler,
+                csr,
+                *payload,
+                virtual_rpcs=stop - start,
+                virtual_bytes=int(sizes_sorted[start:stop].sum()),
+            )
+            start = stop
 
 
 def drive_columnar_push(
@@ -336,61 +474,20 @@ def drive_columnar_push(
         if rows.size == 0:
             return
     row_end = indptr[rows + 1]
+    cand_counts = row_end - 1 - qpositions
     dests = cols.tgt_owner[qpositions]
     sizes = (
         payload_overhead
         + cols.row_wire[rows]
         + cols.tgt_wire[qpositions]
-        + uvarint_size_array(row_end - 1 - qpositions)
+        + uvarint_size_array(cand_counts)
         + cols.cand_cumsum[row_end]
         - cols.cand_cumsum[qpositions + 1]
     )
     ctx.account_rpc_bulk(dests, sizes)
-    order = np.argsort(dests, kind="stable")
-    dests_sorted = dests[order]
-    unique_dests, group_starts = np.unique(dests_sorted, return_index=True)
-    bounds = group_starts.tolist() + [dests_sorted.size]
-    rows_sorted = rows[order]
-    qpos_sorted = qpositions[order]
-    sizes_sorted = sizes[order]
-    # Candidate-stream chunking (out-of-core storage): cap the number of
-    # candidates any single batched delivery carries, so the owner-side
-    # handler's transient arrays stay within the configured memory budget
-    # while the spilled CSR columns page in from disk.  Chunks are cut at
-    # wedge boundaries in the same stable destination order, so per-dest
-    # FIFO delivery, every counter, and the virtual rpc/byte sums are
-    # identical to the single-call form (``chunk=None`` — resident storage
-    # — reproduces it exactly).
-    chunk = dodgr.chunk_candidates()
-    cand_cumsum = None
-    if chunk is not None:
-        cand_cumsum = np.cumsum((row_end - 1 - qpositions)[order])
-        # The payload slices below stay enqueued until the barrier delivers
-        # them; staging the sorted columns in the snapshot's disk-backed
-        # scratch keeps that retained set out of process memory (the
-        # in-memory arrays die when this drive returns).
-        rows_sorted, qpos_sorted = stage_send_columns(csr, rows_sorted, qpos_sorted)
-    for g, dest in enumerate(unique_dests.tolist()):
-        lo, hi = bounds[g], bounds[g + 1]
-        start = lo
-        while start < hi:
-            if chunk is None:
-                stop = hi
-            else:
-                base = int(cand_cumsum[start - 1]) if start else 0
-                stop = int(np.searchsorted(cand_cumsum, base + chunk, side="right"))
-                stop = max(stop, start + 1)  # an oversize wedge still ships
-                stop = min(stop, hi)
-            ctx.async_call_batched(
-                dest,
-                handler,
-                csr,
-                rows_sorted[start:stop],
-                qpos_sorted[start:stop],
-                virtual_rpcs=stop - start,
-                virtual_bytes=int(sizes_sorted[start:stop].sum()),
-            )
-            start = stop
+    send_by_destination(
+        ctx, dodgr, csr, handler, dests, sizes, rows, qpositions, cand_counts
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -406,17 +503,10 @@ def make_push_intersect_handler(
     per_triangle_compute: int,
 ):
     """Build the push-phase intersect handler of the columnar or legacy engine."""
+    check = make_wedge_check(columnar, kernel, callback, per_triangle_compute)
     if columnar:
-        return make_columnar_intersect_handler(
-            dodgr,
-            ROW_KERNELS[kernel],
-            callback,
-            resolve_batch_callback(callback),
-            per_triangle_compute,
-        )
-    return make_legacy_intersect_handler(
-        dodgr, INTERSECTION_KERNELS[kernel], callback, per_triangle_compute
-    )
+        return make_columnar_push_handler(dodgr, check)
+    return make_legacy_push_handler(dodgr, check)
 
 
 def drive_push(columnar: bool, ctx, dodgr: DODGraph, handler, allowed=None) -> None:

@@ -7,25 +7,11 @@ of values plus an ``offsets`` array such that segment ``w`` occupies
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 
-__all__ = ["concat_segments", "ragged_gather"]
-
-
-def concat_segments(ids, starts: Sequence[int], ends: Sequence[int]):
-    """Concatenate ``ids[s:e]`` slices into one flat array plus offsets.
-
-    The CSR/ragged layout consumed by the row kernels: segment ``w``
-    occupies ``flat[offsets[w]:offsets[w + 1]]``.
-    """
-    starts_arr = np.asarray(starts, dtype=np.int64)
-    lengths = np.asarray(ends, dtype=np.int64) - starts_arr
-    index, offsets = ragged_gather(starts_arr, lengths)
-    if index.size == 0:
-        return index, offsets
-    return np.asarray(ids)[index], offsets
+__all__ = ["ragged_gather"]
 
 
 def ragged_gather(starts, lengths) -> Tuple["np.ndarray", "np.ndarray"]:

@@ -101,7 +101,6 @@ from .engine import (
     SurveyResult,
     TriangleCallback,
     execute_program,
-    resolve_batch_callback,
     resolve_request,
 )
 from .engine.checkpoint import (
@@ -112,12 +111,10 @@ from .engine.checkpoint import (
 from .engine.delta import (
     drive_columnar_delta,
     drive_legacy_delta,
-    make_delta_columnar_handler,
-    make_delta_legacy_handlers,
+    make_delta_handlers,
     new_source_vertices,
 )
-from .engine.driver import legacy_push_payload_overhead
-from .intersection import INTERSECTION_KERNELS, ROW_KERNELS
+from .engine.driver import legacy_push_payload_overhead, make_wedge_check
 from .results import SurveyReport
 
 __all__ = [
@@ -158,21 +155,13 @@ def _run_delta_survey(
 
     # Handler registration order is fixed (full first, new second) in both
     # engines, so handler ids — and every accounted message size — match.
+    check = make_wedge_check(
+        spec.columnar, request.kernel, callback, per_triangle_compute
+    )
+    full_handler, new_handler = make_delta_handlers(spec.columnar, dodgr, delta, check)
+    h_full = world.register_handler(full_handler)
+    h_new = world.register_handler(new_handler)
     if spec.columnar:
-        row_kernel = ROW_KERNELS[request.kernel]
-        batch_callback = resolve_batch_callback(callback)
-        h_full = world.register_handler(
-            make_delta_columnar_handler(
-                dodgr, delta, row_kernel, callback, batch_callback,
-                per_triangle_compute, new_only=False,
-            )
-        )
-        h_new = world.register_handler(
-            make_delta_columnar_handler(
-                dodgr, delta, row_kernel, callback, batch_callback,
-                per_triangle_compute, new_only=True,
-            )
-        )
         overhead_full = legacy_push_payload_overhead(h_full.handler_id)
         overhead_new = legacy_push_payload_overhead(h_new.handler_id)
 
@@ -182,20 +171,6 @@ def _run_delta_survey(
             )
 
     else:
-        # Owner-side new-entry views of the scalar engine, precomputed so
-        # mid-drive buffer flushes (which execute handlers) never observe a
-        # partially built cache.  The columnar engine derives its filtered
-        # RowAdjacency from the edge masks instead.
-        new_adj_by_rank = [delta.new_adjacency(r) for r in range(world.nranks)]
-        full_handler, new_handler = make_delta_legacy_handlers(
-            dodgr,
-            INTERSECTION_KERNELS[request.kernel],
-            callback,
-            per_triangle_compute,
-            new_adj_by_rank,
-        )
-        h_full = world.register_handler(full_handler)
-        h_new = world.register_handler(new_handler)
         new_sources = new_source_vertices(delta)
 
         def drive(ctx) -> None:

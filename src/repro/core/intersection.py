@@ -244,8 +244,8 @@ class RowAdjacency:
 class RowBatchResult:
     """Matches plus the aggregate comparison count of one row-batch call.
 
-    ``seg``/``cand_pos``/``adj_pos`` are parallel index arrays (or lists in
-    the scalar small-input path): match ``i`` is segment ``seg[i]``'s candidate at
+    ``seg``/``cand_pos``/``adj_pos`` are parallel int64 index arrays on
+    every route: match ``i`` is segment ``seg[i]``'s candidate at
     *flat* position ``cand_pos[i]`` of the concatenated candidate array,
     matching the adjacency entry at *global* edge position ``adj_pos[i]`` of
     the :class:`RowAdjacency`.  Ascending segment order, ascending candidate
@@ -295,7 +295,12 @@ def _rows_via_scalar(
             seg_out.append(seg)
             cand_out.append(lo + cand_idx)
             adj_out.append(adj_lo + adj_idx)
-    return RowBatchResult(seg_out, cand_out, adj_out, comparisons)
+    return RowBatchResult(
+        np.asarray(seg_out, dtype=np.int64),
+        np.asarray(cand_out, dtype=np.int64),
+        np.asarray(adj_out, dtype=np.int64),
+        comparisons,
+    )
 
 
 def _row_matches(cand, offs, rows, adjacency: RowAdjacency):

@@ -40,7 +40,7 @@ from typing import Any, Dict, Hashable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from ..runtime.serialization import int_size_array, serialized_size
+from ..runtime.serialization import serialized_size, serialized_size_array
 from ..runtime.world import RankContext, World
 from .columnar import group_slices
 from .degree import order_key, order_positions
@@ -145,23 +145,14 @@ class CSRAdjacency:
         targets = [entry[0] for entry in entries]
         tgt_ids = [order_ids[target] for target in targets]
         all_int_targets = all(type(target) is int for target in targets)
-        # Exact per-edge wire sizes: the whole candidate column at once when
-        # the value types allow it, one serialized_size call per field else.
-        if not (entries and self._vector_entry_sizes(entries, targets, all_int_targets)):
-            tgt_wire_sizes: List[int] = []
-            cand_cumsum: List[int] = [0]
-            running = 0
-            for entry in entries:
-                sz_target = serialized_size(entry[0])
-                sz_degree = serialized_size(entry[1])
-                sz_edge_meta = serialized_size(entry[2])
-                # One candidate tuple (r, d(r), meta(p, r)) on the legacy
-                # wire: 2 framing bytes (tuple tag + arity) plus its fields.
-                running += 2 + sz_target + sz_degree + sz_edge_meta
-                cand_cumsum.append(running)
-                tgt_wire_sizes.append(sz_target + sz_edge_meta)
-            self.tgt_wire_sizes = tgt_wire_sizes
-            self.cand_size_cumsum = cand_cumsum
+        sz_target = serialized_size_array(targets)
+        sz_edge_meta = serialized_size_array([entry[2] for entry in entries])
+        sz_degree = serialized_size_array([entry[1] for entry in entries])
+        # One candidate tuple (r, d(r), meta(p, r)) on the legacy wire:
+        # 2 framing bytes (tuple tag + arity) plus its fields.
+        per_edge = 2 + sz_target + sz_degree + sz_edge_meta
+        self.tgt_wire_sizes = (sz_target + sz_edge_meta).tolist()
+        self.cand_size_cumsum = np.concatenate(([0], np.cumsum(per_edge))).tolist()
         # Owner ranks: one vectorized partition-map evaluation over the whole
         # target column when ids are integers, scalar lookups otherwise.
         self.tgt_owner = None
@@ -187,66 +178,6 @@ class CSRAdjacency:
         #: reusable disk-backed scratch for the columnar driver's staged
         #: send columns under mmap storage (see ooc.stage_send_columns)
         self.send_scratch = None
-
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _vector_value_sizes(values: List[Any]) -> Optional[Any]:
-        """Exact serialized sizes of a homogeneous scalar column, or None.
-
-        Handles the column shapes the generators emit — all-float, all-int
-        or all-None metadata — where per-value wire sizes are computable as
-        one array expression; anything mixed or structured returns None and
-        the caller sizes values one by one.
-        """
-        first = values[0]
-        if first.__class__ is float:
-            if all(value.__class__ is float for value in values):
-                return np.full(len(values), 9, dtype=np.int64)  # tag + double
-            return None
-        if first.__class__ is int:
-            if all(value.__class__ is int for value in values):
-                try:
-                    column = np.fromiter(values, dtype=np.int64, count=len(values))
-                except OverflowError:  # beyond int64: scalar fallback
-                    return None
-                return int_size_array(column)
-            return None
-        if first is None and all(value is None for value in values):
-            return np.ones(len(values), dtype=np.int64)
-        return None
-
-    def _vector_entry_sizes(
-        self, entries: List[AdjEntry], targets: List[Hashable], all_int_targets: bool
-    ) -> bool:
-        """Try the columnar wire-size path; True when the arrays were built.
-
-        Bit-identical to the scalar loop (``int_size_array``/constant sizes
-        replay ``serialized_size`` exactly, pinned by
-        ``tests/runtime/test_serialization.py``) but sizes the whole edge
-        column in a handful of array expressions — the dominant cost of a
-        CSR snapshot build, which streaming surveys pay once per batch.
-        """
-        if not all_int_targets:
-            return False
-        try:
-            targets_arr = np.fromiter(targets, dtype=np.int64, count=len(targets))
-        except OverflowError:
-            return False
-        meta_sizes = self._vector_value_sizes([entry[2] for entry in entries])
-        if meta_sizes is None:
-            return False
-        degrees = np.fromiter(
-            (entry[1] for entry in entries), dtype=np.int64, count=len(entries)
-        )
-        sz_target = int_size_array(targets_arr)
-        sz_degree = int_size_array(degrees)
-        # One candidate tuple (r, d(r), meta(p, r)) on the legacy wire:
-        # 2 framing bytes (tuple tag + arity) plus its fields.
-        per_edge = 2 + sz_target + sz_degree + meta_sizes
-        cumsum = np.concatenate(([0], np.cumsum(per_edge)))
-        self.tgt_wire_sizes = (sz_target + meta_sizes).tolist()
-        self.cand_size_cumsum = cumsum.tolist()
-        return True
 
     # ------------------------------------------------------------------
     def columns(self) -> "SimpleNamespace":
@@ -486,8 +417,7 @@ class DODGraph:
         pos, order = order_positions(vertices, degrees)
         # Dense <+ ids double as the lazily-built order_ids cache: identical
         # by construction to what order_ids() would compute from the stores.
-        order_list = order.tolist() if hasattr(order, "tolist") else order
-        self._order_ids = {vertices[g]: k for k, g in enumerate(order_list)}
+        self._order_ids = {vertices[g]: k for k, g in enumerate(order.tolist())}
 
         if tgt_indices:
             src = np.repeat(

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import dataclasses
 import struct
-from typing import Any, Callable, Dict, Iterable, List, Tuple, Type
+from typing import Any, Callable, Dict, Iterable, List, Sequence, Tuple, Type
 
 __all__ = [
     "SerializationError",
@@ -39,6 +39,7 @@ __all__ = [
     "uvarint_size",
     "uvarint_size_array",
     "int_size_array",
+    "serialized_size_array",
     "register_record",
     "registered_records",
     "clear_registry",
@@ -521,6 +522,31 @@ def int_size_array(values: Any) -> Any:
             return size
         size += more
         rest = rest >> np.uint64(7)
+
+
+def serialized_size_array(values: Sequence[Any]) -> Any:
+    """Wire sizes of a column of values, as an int64 array.
+
+    ``serialized_size_array(values)[i] == serialized_size(values[i])``.  The
+    column shapes the CSR snapshot build meets — all-int (ids, degrees),
+    all-bool or all-None, all-float — are sized as one array expression;
+    any other column (strings, tuples, mixed types, ints beyond int64)
+    is sized one value at a time.
+    """
+    import numpy as np
+
+    n = len(values)
+    classes = set(map(type, values))
+    if classes == {int}:
+        try:
+            return int_size_array(np.fromiter(values, dtype=np.int64, count=n))
+        except OverflowError:  # beyond int64: sized per value below
+            pass
+    elif classes and classes <= {bool, type(None)}:
+        return np.ones(n, dtype=np.int64)  # tag only
+    elif classes == {float}:
+        return np.full(n, 9, dtype=np.int64)  # tag + IEEE-754 double
+    return np.fromiter(map(serialized_size, values), dtype=np.int64, count=n)
 
 
 def uvarint_size_array(values: Any) -> Any:

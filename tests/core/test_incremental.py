@@ -23,6 +23,7 @@ from repro.core.callbacks import (
     LocalTriangleCounter,
     TriangleCounter,
 )
+from repro.core.engine import EngineConfig
 from repro.core.incremental import StreamingSurvey, incremental_triangle_survey
 from repro.core.survey import triangle_survey_push
 from repro.graph.delta import DeltaBuffer
@@ -115,7 +116,8 @@ def test_replay_parity_randomized_schedules(generator, graph_seed, schedule_seed
         previous_triangles = report.triangles
 
 
-def test_engine_parity_counters_and_panels():
+@pytest.mark.parametrize("kernel", ["merge_path", "binary_search", "hash"])
+def test_engine_parity_counters_and_panels(kernel):
     """Legacy and columnar engines: identical counters and panels per step."""
     generated = rmat(8, edge_factor=6, seed=7)
     edges = shuffled(timestamped(generated.edges), 13)
@@ -124,7 +126,10 @@ def test_engine_parity_counters_and_panels():
     def replay(engine):
         world = World(NRANKS)
         survey = StreamingSurvey(
-            world, ClosureTimeSurvey, engine=engine, graph_name="parity"
+            world,
+            ClosureTimeSurvey,
+            engine=EngineConfig(engine=engine, kernel=kernel),
+            graph_name="parity",
         )
         return [survey.ingest(batch) for batch in batches]
 

@@ -237,3 +237,29 @@ class TestIntSizeArray:
         assert int_size_array(values).tolist() == [
             serialized_size(int(v)) for v in values.tolist()
         ]
+
+
+class TestSerializedSizeArray:
+    """serialized_size_array replays serialized_size for whole columns."""
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [0, 1, -1, 63, 64, -65, 2**40, 2**63 - 1, -(2**63)],
+            [True, False, True],
+            [0.5, -1.0, 1e300],
+            [None, None],
+            ["", "a.com", "é" * 40],
+            [(1, 2.0), ("x", None, (3,))],
+            [1, True, 0, False, 2**20],
+            [1, 2**63, -(2**63) - 1, 2**200],
+            [],
+        ],
+        ids=["int", "bool", "float", "none", "str", "tuple", "int-bool", "big-int", "empty"],
+    )
+    def test_matches_scalar(self, values):
+        from repro.runtime.serialization import serialized_size_array
+
+        sizes = serialized_size_array(values)
+        assert str(sizes.dtype) == "int64"
+        assert sizes.tolist() == [serialized_size(v) for v in values]
